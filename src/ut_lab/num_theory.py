@@ -31,20 +31,6 @@ def subgroup_order(p: int, gens: list[int] | tuple[int, ...]) -> int:
     return len(seen)
 
 
-def subgroup_elements(p: int, gens: list[int] | tuple[int, ...]) -> frozenset[int]:
-    norm = [g % p for g in gens]
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in norm:
-            y = (x * g) % p
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 @dataclass
 class AglReport:
     """Per-prime table of |<-1, c, c-1>| and the resulting 3-ut verdict."""

@@ -8,8 +8,6 @@ image tuples; Transformation objects only appear at the API boundary.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from .perm_core import PermGroup, Permutation
 from .set_orbits import (
     KSet,
     _orbit_masks,
-    kset_of_mask,
+    find_section,
     mask_of,
     orbits_on_ksets,
     trace_orbit_word,
@@ -121,32 +119,6 @@ class RegularityResult:
         return self.regular
 
 
-def _section_in_parents(
-    kernel_blocks, parents: dict[int, tuple[int, int]], n: int
-) -> int | None:
-    """Mask of an orbit member that is a transversal of the kernel, if any."""
-    nsect = math.prod(len(b) for b in kernel_blocks)
-    if nsect <= len(parents):
-        bitlists = [[1 << (p - 1) for p in b] for b in kernel_blocks]
-        for combo in itertools.product(*bitlists):
-            m = sum(combo)
-            if m in parents:
-                return m
-        return None
-    arr = [-1] * (n + 1)
-    for i, b in enumerate(kernel_blocks):
-        for p in b:
-            arr[p] = i
-    full = (1 << len(kernel_blocks)) - 1
-    for m in sorted(parents):
-        hit = 0
-        for p in kset_of_mask(m):
-            hit |= 1 << arr[p]
-        if hit == full:
-            return m
-    return None
-
-
 def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> RegularityResult:
     """Is a regular in <a, G>?  True iff rank(a g a) = rank(a) for some g in G.
 
@@ -160,8 +132,8 @@ def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> Regulari
     if a.rank == n:
         return RegularityResult(True, G.identity())
     image_mask = mask_of(a.image_set())
-    parents = _orbit_masks(G.gen_images(), image_mask, cap)
-    target = _section_in_parents(a.kernel().blocks, parents, n)
+    parents = _orbit_masks(G, image_mask, cap)
+    target = find_section(parents, a.kernel().blocks)
     if target is None:
         return RegularityResult(False)
     g = Permutation(trace_orbit_word(G, parents, target))
@@ -296,10 +268,9 @@ def regular_for_all_rank_k(
     """Are all rank-k transformations regular in <a, G>?
 
     method="kut" delegates to the k-universal transversal decider (the two
-    properties coincide); method="direct" enumerates kernel partitions times
-    image-orbit representatives, which suffices by G-equivariance, and runs
-    the is_regular_in decision core on each map with the image orbit hoisted
-    out of the partition loop.
+    properties coincide); method="direct" runs the is_regular_in decision
+    core on every kernel partition against every k-set orbit, which covers
+    every image by G-equivariance.
     """
     from .partitions import enumerate_kpartitions
     from .ut_deciders import has_kut
@@ -314,21 +285,12 @@ def regular_for_all_rank_k(
         return bool(verdict.holds)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    gens = G.gen_images()
-    rep_parents = [
-        _orbit_masks(gens, mask_of(o.representative), 10**7)
-        for o in orbits_on_ksets(G, k)
-    ]
+    orbits = orbits_on_ksets(G, k)
     for partition in enumerate_kpartitions(n, k):
-        for parents in rep_parents:
-            if _section_in_parents(partition.blocks, parents, n) is None:
+        for orbit in orbits:
+            if find_section(orbit.masks, partition.blocks) is None:
                 return False
     return True
-
-
-class BudgetExceededFromKut(Exception):
-    def __init__(self, k: int):
-        super().__init__(f"the {k}-ut decision exhausted its budget")
 
 
 def quasi_regularity_classifier(

@@ -1,18 +1,27 @@
 """Orbits of k-subsets under a group; k- and (i,j)-homogeneity deciders.
 
-k-sets are sorted tuples of 1-based points.  Orbit BFS runs on bitmask
-encodings (bit p-1 set iff point p is in the set) and canonicalizes back to
-tuples at the boundary; orbit representatives are the lexicographically least
-members, so results do not depend on generator order.
+A k-set is a bitmask inside this module (bit p-1 set iff point p is in the
+set) and a sorted tuple of 1-based points at the API boundary.  An orbit
+holds its member masks, its size and its representative; the member tuples
+are made only on request.  `orbits_on_ksets` is the one enumerator of all
+k-set orbits of a group and caches its result per group, and
+`is_ij_homogeneous` reads the same cached orbits.  Orbit representatives are
+the lexicographically least members, so results do not depend on generator
+order.
+
+Generators act on masks through lookup tables built once per group (see
+`_generator_tables`).  `find_section` is the one test of whether an orbit
+contains a section of a set of disjoint blocks; the k-ut deciders and the
+regularity test share it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import getitem
+from typing import Collection, Iterable, Sequence
 
 from .errors import CapExceeded
 from .perm_core import Images, PermGroup
@@ -45,30 +54,33 @@ def mask_of(points: Iterable[int]) -> int:
 
 def kset_of_mask(mask: int) -> KSet:
     out = []
-    p = 1
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
-def apply_mask(mask: int, images: Images) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (images[low.bit_length() - 1] - 1)
-        mask ^= low
-    return out
+def _lex_least(masks: Iterable[int]) -> int:
+    """The mask whose sorted point tuple is least, among sets of one size.
+
+    Of two such sets, the lexicographically smaller one holds the least
+    point of their symmetric difference.
+    """
+    it = iter(masks)
+    best = next(it)
+    for m in it:
+        diff = m ^ best
+        if m & diff & -diff:
+            best = m
+    return best
 
 
 @dataclass(frozen=True)
 class KSetOrbit:
-    """One orbit of k-sets: lex-least representative, members, and size."""
+    """One orbit of k-sets: lex-least representative, size, and member masks."""
 
     representative: KSet
-    members: frozenset[KSet]
     size: int
     masks: frozenset[int]
 
@@ -76,68 +88,130 @@ class KSetOrbit:
     def k(self) -> int:
         return len(self.representative)
 
+    @property
+    def members(self) -> frozenset[KSet]:
+        """The members as sorted point tuples, rebuilt on every access."""
+        return frozenset(kset_of_mask(m) for m in self.masks)
+
     def __contains__(self, item: Iterable[int]) -> bool:
-        return tuple(sorted(item)) in self.members
+        pts = tuple(item)
+        return len(pts) == self.k and min(pts) >= 1 and mask_of(pts) in self.masks
 
     def __repr__(self) -> str:
         return f"<KSetOrbit rep={self.representative} size={self.size}>"
 
 
-def _orbit_masks(
-    gens: Sequence[Images], start_mask: int, cap: int
-) -> dict[int, tuple[int, int]]:
-    """BFS orbit of a set-mask; maps mask -> (parent mask, generator index).
+# ---------------------------------------------------------------------------
+# Generator tables and orbit BFS
 
-    The start mask maps to (0, -1).  Raises CapExceeded past `cap` members.
+# Above this degree a k-set sets few of a mask's many bytes, and a generator
+# acts as fast point by point as byte by byte, with far smaller tables: on
+# orbits of 3- to 5-sets, byte tables were faster up to degree 33, as fast
+# at 36-43, and slower at 64 and 176.
+BYTE_TABLE_MAX_DEGREE = 48
+
+_GEN_TABLES: "weakref.WeakKeyDictionary[PermGroup, tuple[int, tuple]]"
+_GEN_TABLES = weakref.WeakKeyDictionary()
+
+
+def _byte_tables(images: Images, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte c of a mask: byte value -> image mask of its points."""
+    tables = []
+    for c in range(0, n, 8):
+        table = [0] * (1 << min(8, n - c))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << (images[c + low.bit_length() - 1] - 1)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _generator_tables(G: PermGroup) -> tuple[int, tuple]:
+    """(bytes per mask, one table per generator), built once per group.
+
+    The image of a mask m under a generator is sum(map(getitem, table,
+    keys)), the keys being m's bytes (m.to_bytes(nbytes, "little")) up to
+    BYTE_TABLE_MAX_DEGREE and its points (kset_of_mask(m), nbytes = 0)
+    above.  A byte table holds one lookup table per byte of the mask; a
+    point table repeats one tuple, indexed by point, of image bits.  A
+    permutation maps disjoint point sets to disjoint images, so the sum of
+    the parts' images is the image of their union.
     """
-    seen: dict[int, tuple[int, int]] = {start_mask: (0, -1)}
-    queue = deque([start_mask])
-    while queue:
-        m = queue.popleft()
-        for gi, g in enumerate(gens):
-            im = apply_mask(m, g)
-            if im not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("k-set orbit cap exceeded", len(seen))
-                seen[im] = (m, gi)
-                queue.append(im)
-    return seen
+    entry = _GEN_TABLES.get(G)
+    if entry is None:
+        n = G.degree
+        if n <= BYTE_TABLE_MAX_DEGREE:
+            tables = tuple(_byte_tables(g, n) for g in G.gen_images())
+            entry = ((n + 7) // 8, tables)
+        else:
+            tables = tuple(
+                itertools.repeat((0,) + tuple(1 << (x - 1) for x in g))
+                for g in G.gen_images()
+            )
+            entry = (0, tables)
+        _GEN_TABLES[G] = entry
+    return entry
 
 
-def _orbit_from_masks(masks: Iterable[int]) -> KSetOrbit:
-    members = frozenset(kset_of_mask(m) for m in masks)
-    rep = min(members)
-    return KSetOrbit(rep, members, len(members), frozenset(masks))
+def _orbit_masks(G: PermGroup, start_mask: int, cap: int) -> dict[int, int | None]:
+    """BFS orbit of a set-mask; maps each member to the member it was first
+    reached from, and the start mask to None.
+
+    Raises CapExceeded past `cap` members.
+    """
+    nbytes, tables = _generator_tables(G)
+    parents: dict[int, int | None] = {start_mask: None}
+    frontier = [start_mask]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            keys = m.to_bytes(nbytes, "little") if nbytes else kset_of_mask(m)
+            for table in tables:
+                im = sum(map(getitem, table, keys))
+                if im not in parents:
+                    parents[im] = m
+                    fresh.append(im)
+            if len(parents) > cap:
+                raise CapExceeded("k-set orbit cap exceeded", len(parents))
+        frontier = fresh
+    return parents
 
 
 def orbit_of_set(
     G: PermGroup, S: Iterable[int], cap: int = DEFAULT_ORBIT_CAP
 ) -> KSetOrbit:
-    """The orbit of the set S under G, as canonical k-sets."""
+    """The orbit of the set S under G, by its own BFS (the cache is not read)."""
     pts = as_kset(S, G.degree)
-    parents = _orbit_masks(G.gen_images(), mask_of(pts), cap)
-    return _orbit_from_masks(parents.keys())
+    masks = frozenset(_orbit_masks(G, mask_of(pts), cap))
+    return KSetOrbit(kset_of_mask(_lex_least(masks)), len(masks), masks)
 
 
 def trace_orbit_word(
-    G: PermGroup, parents: dict[int, tuple[int, int]], target_mask: int
-) -> "Images":
-    """Recover a group element sending the BFS start set to `target_mask`."""
-    gens = G.gen_images()
+    G: PermGroup, parents: dict[int, int | None], target_mask: int
+) -> Images:
+    """Recover a group element sending the BFS start set to `target_mask`.
+
+    Each BFS step used the first generator that maps the parent to the
+    child, so that generator is found again by trying them in order.
+    """
+    nbytes, tables = _generator_tables(G)
     word: list[int] = []
     m = target_mask
-    while True:
-        parent, gi = parents[m]
-        if gi < 0:
-            break
-        word.append(gi)
+    while (parent := parents[m]) is not None:
+        keys = parent.to_bytes(nbytes, "little") if nbytes else kset_of_mask(parent)
+        word.append(next(gi for gi, table in enumerate(tables)
+                         if sum(map(getitem, table, keys)) == m))
         m = parent
+    gens = G.gen_images()
     images = tuple(range(1, G.degree + 1))
     for gi in reversed(word):
         g = gens[gi]
         images = tuple(g[x - 1] for x in images)
     return images
 
+
+# ---------------------------------------------------------------------------
+# The orbit index
 
 _ORBIT_CACHE: "weakref.WeakKeyDictionary[PermGroup, dict[int, tuple[KSetOrbit, ...]]]"
 _ORBIT_CACHE = weakref.WeakKeyDictionary()
@@ -148,35 +222,65 @@ def orbits_on_ksets(
 ) -> tuple[KSetOrbit, ...]:
     """All orbits of k-sets, ordered by lex-least representative.
 
-    Orbit sizes sum to C(n, k).  Results are memoized per group.
+    k-sets are visited in lexicographic order and each unseen one starts the
+    next orbit, so it is that orbit's least member and the orbits come out
+    sorted.  Orbit sizes sum to C(n, k).  Results are memoized per group.
     """
     if not 1 <= k <= G.degree:
         raise ValueError(f"need 1 <= k <= degree, got k={k}")
     cache = _ORBIT_CACHE.setdefault(G, {})
     if k in cache:
         return cache[k]
-    gens = G.gen_images()
+    n = G.degree
+    remaining = math.comb(n, k)
     seen: set[int] = set()
     orbits: list[KSetOrbit] = []
-    total = 0
-    for combo in itertools.combinations(range(1, G.degree + 1), k):
-        m = mask_of(combo)
+    for combo in itertools.combinations([1 << p for p in range(n)], k):
+        m = sum(combo)
         if m in seen:
             continue
-        parents = _orbit_masks(gens, m, cap)
-        if total + len(parents) > cap:
-            raise CapExceeded("k-set orbit cap exceeded", total)
-        seen.update(parents.keys())
-        total += len(parents)
-        orbits.append(_orbit_from_masks(parents.keys()))
-    orbits.sort(key=lambda o: o.representative)
+        masks = frozenset(_orbit_masks(G, m, cap - len(seen)))
+        seen |= masks
+        orbits.append(KSetOrbit(kset_of_mask(m), len(masks), masks))
+        remaining -= len(masks)
+        if not remaining:
+            break
     result = tuple(orbits)
     cache[k] = result
     return result
 
 
-def num_orbits_on_ksets(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
-    return len(orbits_on_ksets(G, k, cap))
+def find_section(
+    masks: Collection[int], blocks: Sequence[Sequence[int]], fixed: int = 0
+) -> int | None:
+    """The first member of a k-set orbit that is a section of the blocks.
+
+    `masks` are the orbit's member masks: a set, or a BFS parent map, which
+    is scanned in visiting order.  `blocks` are disjoint point sets.  A
+    nonzero `fixed` is a point mask outside the blocks that the member must
+    contain, as one more singleton block.  A k-set that meets k disjoint
+    blocks meets each exactly once, so a member is a section iff it meets
+    every block.  Cheaper side first: when the prod |B_i| candidate sections
+    are no more than the orbit's members, they are looked up in product
+    order; otherwise the orbit is scanned, filtering on the smallest block.
+    """
+    if math.prod(map(len, blocks)) <= len(masks):
+        bits = [[1 << (p - 1) for p in b] for b in blocks]
+        candidates = map(sum, itertools.product((fixed,), *bits))
+        return next(filter(masks.__contains__, candidates), None)
+    block_masks = [mask_of(b) for b in blocks]
+    if fixed:
+        block_masks.append(fixed)
+    block_masks.sort(key=int.bit_count)
+    first, *rest = block_masks
+    for m in filter(first.__and__, masks):
+        if all(map(m.__and__, rest)):
+            return m
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Homogeneity
 
 
 def is_k_homogeneous(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -191,8 +295,7 @@ def is_k_homogeneous(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool
     kk = min(k, n - k)
     if kk == 0:
         return True
-    first = orbit_of_set(G, range(1, kk + 1), cap)
-    return first.size == math.comb(n, kk)
+    return len(_orbit_masks(G, (1 << kk) - 1, cap)) == math.comb(n, kk)
 
 
 def is_ij_homogeneous(
@@ -202,31 +305,19 @@ def is_ij_homogeneous(
 
     Equivalent, by orbit invariance, to: every orbit of i-sets contains a
     subset of every j-set orbit representative.  On failure returns a witness
-    pair (representative of a missing i-orbit, offending j-set).
+    pair (representative of the first missing i-orbit, representative of the
+    first j-orbit that misses it), orbits taken in representative order.
     """
     n = G.degree
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
     i_orbits = orbits_on_ksets(G, i, cap)
-    orbit_id: dict[int, int] = {}
-    for idx, orb in enumerate(i_orbits):
-        for m in orb.masks:
-            orbit_id[m] = idx
-    want = set(range(len(i_orbits)))
-    gens = G.gen_images()
-    seen: set[int] = set()
-    for combo in itertools.combinations(range(1, n + 1), j):
-        m = mask_of(combo)
-        if m in seen:
-            continue
-        parents = _orbit_masks(gens, m, cap)
-        seen.update(parents.keys())
-        rep = min(kset_of_mask(x) for x in parents)
-        got = {orbit_id[mask_of(sub)] for sub in itertools.combinations(rep, i)}
-        missing = want - got
-        if missing:
-            bad = min(missing)
-            return False, (i_orbits[bad].representative, rep)
+    for j_orbit in orbits_on_ksets(G, j, cap):
+        rep = j_orbit.representative
+        subsets = {mask_of(sub) for sub in itertools.combinations(rep, i)}
+        for i_orbit in i_orbits:
+            if i_orbit.masks.isdisjoint(subsets):
+                return False, (i_orbit.representative, rep)
     return True, None
 
 

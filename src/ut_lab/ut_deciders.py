@@ -35,6 +35,7 @@ from .set_orbits import (
     KSet,
     KSetOrbit,
     as_kset,
+    find_section,
     is_ij_homogeneous,
     is_k_homogeneous,
     kset_of_mask,
@@ -84,65 +85,22 @@ class UtVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Section-in-orbit primitives
-
-
-def _point_block_array(blocks, n: int) -> list[int]:
-    arr = [-1] * (n + 1)
-    for i, b in enumerate(blocks):
-        for p in b:
-            arr[p] = i
-    return arr
-
-
-def _orbit_has_section(orbit: KSetOrbit, blocks, n: int) -> bool:
-    """Does the orbit contain a section of the blocks?  Cheaper side first."""
-    nsect = math.prod(len(b) for b in blocks)
-    if nsect <= orbit.size:
-        masks = orbit.masks
-        bitlists = [[1 << (p - 1) for p in b] for b in blocks]
-        for combo in itertools.product(*bitlists):
-            if sum(combo) in masks:
-                return True
-        return False
-    arr = _point_block_array(blocks, n)
-    k = len(blocks)
-    for member in orbit.members:
-        hit = 0
-        for p in member:
-            hit |= 1 << arr[p]
-        if hit == (1 << k) - 1:
-            return True
-    return False
-
-
-def _has_section_with(masks: frozenset[int], blocks, i: int, xmask: int) -> bool:
-    """Is some section using xmask in block i present in the orbit masks?"""
-    bitlists = [
-        [1 << (p - 1) for p in b] for j, b in enumerate(blocks) if j != i
-    ]
-    for combo in itertools.product(*bitlists):
-        if xmask + sum(combo) in masks:
-            return True
-    return False
+# Witness re-check
 
 
 def validate_ut_witness(G: PermGroup, witness: UtWitness) -> bool:
-    """Exhaustively re-check a negative witness, independent of the decider."""
-    orbit = orbit_of_set(G, witness.orbit_rep)
+    """Exhaustively re-check a negative witness, independent of the decider.
+
+    The orbit comes from a fresh BFS and every member is tested here, so
+    neither the orbit cache nor `find_section` is trusted.
+    """
     blocks = witness.partition.blocks
-    if witness.partition.n != G.degree:
+    if witness.partition.n != G.degree or len(blocks) != len(witness.orbit_rep):
         return False
-    if len(blocks) != len(witness.orbit_rep):
-        return False
-    arr = _point_block_array(blocks, G.degree)
-    k = len(blocks)
-    full = (1 << k) - 1
-    for member in orbit.members:
-        hit = 0
-        for p in member:
-            hit |= 1 << arr[p]
-        if hit == full:
+    orbit = orbit_of_set(G, witness.orbit_rep)
+    block_masks = [mask_of(b) for b in blocks]
+    for m in orbit.masks:
+        if all(map(m.__and__, block_masks)):
             return False  # found a section; witness is bogus
     return True
 
@@ -184,7 +142,7 @@ def has_kut_naive(
     for a in _rgs_stream(n, k):
         blocks = _blocks_of_rgs(a, k)
         for orbit in orbits:
-            if not _orbit_has_section(orbit, blocks, n):
+            if find_section(orbit.masks, blocks) is None:
                 partition = SetPartition(tuple(tuple(b) for b in blocks))
                 return _checked_failure(G, orbit.representative, partition, "naive")
     return UtVerdict(True, "naive")
@@ -562,7 +520,7 @@ def subpartition_extension_decider(
     remaining = [p for p in range(1, n + 1) if p not in placed]
     profile: list[int] = []
     start = tuple(tuple(b) for b in seed.blocks)
-    if _orbit_has_section_blocks(masks, start):
+    if find_section(masks, start) is not None:
         frontier: list[tuple[tuple[int, ...], ...]] = []
     else:
         frontier = [start]
@@ -574,11 +532,8 @@ def subpartition_extension_decider(
         children = []
         for blocks in frontier:
             for i in range(k):
-                if not _has_section_with(masks, blocks, i, xmask):
-                    child = tuple(
-                        b + (x,) if j == i else b for j, b in enumerate(blocks)
-                    )
-                    children.append(child)
+                if find_section(masks, blocks[:i] + blocks[i + 1:], xmask) is None:
+                    children.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:])
         if len(children) > frontier_cap:
             err = CapExceeded("extension frontier cap exceeded", len(children))
             err.profile = profile  # type: ignore[attr-defined]
@@ -592,14 +547,6 @@ def subpartition_extension_decider(
             G, orbit.representative, partition, "extension", detail
         )
     return UtVerdict(True, "extension", detail=detail)
-
-
-def _orbit_has_section_blocks(masks: frozenset[int], blocks) -> bool:
-    bitlists = [[1 << (p - 1) for p in b] for b in blocks]
-    for combo in itertools.product(*bitlists):
-        if sum(combo) in masks:
-            return True
-    return False
 
 
 def _extension_universal(
@@ -619,7 +566,7 @@ def _extension_universal(
     """
     profiles = {}
     for rep in reps:
-        if rep in orbit.members:
+        if mask_of(rep) in orbit.masks:
             continue
         seed = SubPartition.of([(p,) for p in rep])
         verdict = subpartition_extension_decider(G, k, orbit, seed, frontier_cap)
@@ -772,7 +719,8 @@ def two_graph_check(
         raise ValueError("the group must be transitive")
     n = G.degree
     counts: Counter[tuple[int, int]] = Counter()
-    for a, b, c in orbit.members:
+    members = orbit.members
+    for a, b, c in members:
         counts[(a, b)] += 1
         counts[(a, c)] += 1
         counts[(b, c)] += 1
@@ -780,7 +728,6 @@ def two_graph_check(
     if len(values) != 1 or len(counts) != math.comb(n, 2):
         return None
     lam = values.pop()
-    members = orbit.members
     if n <= 30:
         quads = itertools.combinations(range(1, n + 1), 4)
         exhaustive = True

@@ -89,3 +89,39 @@ def brute_semigroup_closure(gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]
         if not new:
             return current
         current |= new
+
+
+def brute_group_elements(gen_images: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every element of the group, by closure of the identity under the generators."""
+    identity = tuple(range(1, len(gen_images[0]) + 1))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gen_images:
+            y = tuple(g[p - 1] for p in x)
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    return elements
+
+
+def brute_ij_homogeneous(
+    gen_images: list[tuple[int, ...]], n: int, i: int, j: int
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """(i,j)-homogeneity by trying every group element on every i-set.
+
+    On failure returns the lex-least j-set J that some i-set cannot be moved
+    into, and the lex-least such i-set I, as (I, J).
+    """
+    elements = brute_group_elements(gen_images)
+    images = {
+        I: {frozenset(g[p - 1] for p in I) for g in elements}
+        for I in itertools.combinations(range(1, n + 1), i)
+    }
+    for J in itertools.combinations(range(1, n + 1), j):
+        inside = {frozenset(sub) for sub in itertools.combinations(J, i)}
+        for I, moved in images.items():
+            if moved.isdisjoint(inside):
+                return False, (I, J)
+    return True, None

@@ -20,7 +20,7 @@ from ut_lab.semigroup import (
     transformation_from_parts,
 )
 
-from _oracles import brute_semigroup_closure
+from _oracles import brute_semigroup_closure, brute_set_orbit
 
 
 transformations6 = st.lists(
@@ -89,6 +89,25 @@ class TestIsRegularIn:
         if result.regular:
             g = Transformation.from_permutation(result.witness)
             assert t_compose(t_compose(a, g), a).rank == a.rank
+
+    @pytest.mark.parametrize("name,degree", [("AGL(1,17)", 17), ("AGL(1,67)", 67)])
+    def test_witness_deterministic_and_valid(self, name, degree):
+        # random ranks 2-6 reach both sides of the shared section probe
+        rng = random.Random(5)
+        G = build_named(name)
+        for _ in range(30):
+            r = rng.randint(2, 6)
+            a = Transformation(tuple(rng.randint(1, r) for _ in range(degree)))
+            result = is_regular_in(a, G)
+            assert result == is_regular_in(a, build_named(name))
+            if result.regular:
+                assert G.contains(result.witness)
+                g = Transformation.from_permutation(result.witness)
+                assert t_compose(t_compose(a, g), a).rank == a.rank
+            else:
+                orbit = brute_set_orbit(G.gen_images(), frozenset(a.image_set()))
+                kernel = a.kernel().blocks
+                assert not any(all(len(m & set(b)) == 1 for b in kernel) for m in orbit)
 
     def test_alternating_halfrank_sampled(self):
         # rank floor(n/2) maps over A12 are regular

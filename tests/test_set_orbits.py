@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -6,6 +8,7 @@ from ut_lab.catalog import build_named
 from ut_lab.errors import CapExceeded
 from ut_lab.set_orbits import (
     as_kset,
+    find_section,
     is_ij_homogeneous,
     is_k_homogeneous,
     kset_of_mask,
@@ -15,7 +18,7 @@ from ut_lab.set_orbits import (
     order_bound_pass,
 )
 
-from _oracles import brute_set_orbit
+from _oracles import brute_ij_homogeneous, brute_set_orbit
 
 
 class TestOrbitOfSet:
@@ -85,6 +88,114 @@ class TestOrbitsOnKsets:
                 assert G.order % orbit.size == 0
 
 
+def _mask(points) -> int:
+    return sum(1 << (p - 1) for p in points)
+
+
+class TestOrbitIndexOracle:
+    """orbits_on_ksets against frozenset closure, across generator-table bytes."""
+
+    @pytest.mark.parametrize(
+        "name,degree,k",
+        [
+            ("PSL(2,7)", 8, 3),
+            ("M11", 12, 4),
+            ("PSL(2,11)", 12, 3),
+            ("PSL(2,16)", 17, 3),
+            ("AGL(1,17)", 17, 4),
+            ("PSL(2,32)", 33, 3),
+            ("PGammaL(2,32)", 33, 2),
+            ("2^6:G2(2)", 64, 2),  # above degree 48 generators act point by point
+            ("AGL(1,67)", 67, 2),
+            ("AGL(1,71)", 71, 3),
+        ],
+    )
+    def test_matches_brute_force(self, name, degree, k):
+        G = build_named(name, degree)
+        expected = []
+        seen: set[frozenset[int]] = set()
+        for combo in itertools.combinations(range(1, degree + 1), k):
+            if frozenset(combo) in seen:
+                continue
+            orbit = brute_set_orbit(G.gen_images(), frozenset(combo))
+            seen |= orbit
+            assert combo == min(tuple(sorted(s)) for s in orbit)
+            expected.append((combo, len(orbit), frozenset(_mask(s) for s in orbit)))
+        got = [(o.representative, o.size, o.masks) for o in orbits_on_ksets(G, k)]
+        assert got == expected
+
+    def test_orbit_of_set_representative(self):
+        G = build_named("PSL(2,32)", 33)
+        for start in ((5, 9, 33), (2, 17, 24, 32)):
+            orbit = orbit_of_set(G, start)
+            brute = brute_set_orbit(G.gen_images(), frozenset(start))
+            assert orbit.representative == min(tuple(sorted(s)) for s in brute)
+            assert orbit.masks == {_mask(s) for s in brute}
+
+    def test_membership_without_member_tuples(self):
+        orbit = orbit_of_set(build_named("C5"), (1, 2))
+        assert (2, 1) in orbit and (5, 1) in orbit
+        assert (1, 3) not in orbit
+        assert (1, 1) not in orbit and (1, 2, 3) not in orbit
+
+
+class TestFindSection:
+    """The shared probe against a brute scan of the orbit's masks."""
+
+    @staticmethod
+    def _brute(masks, blocks, fixed=0):
+        block_masks = [_mask(b) for b in blocks] + ([fixed] if fixed else [])
+        return any(all(m & b for b in block_masks) for m in masks)
+
+    @staticmethod
+    def _random_blocks(rng, points, nblocks):
+        points = list(points)
+        rng.shuffle(points)
+        blocks = [[p] for p in points[:nblocks]]
+        for p in points[nblocks:]:
+            blocks[rng.randrange(nblocks)].append(p)
+        return [tuple(sorted(b)) for b in blocks]
+
+    @pytest.mark.parametrize("name,degree,k", [("D(2*7)", 7, 3), ("AGL(1,13)", 13, 3), ("AGL(1,17)", 17, 3)])
+    def test_partitions_both_sides(self, name, degree, k):
+        rng = random.Random(1108 + degree)
+        sides = set()
+        for orbit in orbits_on_ksets(build_named(name, degree), k):
+            for _ in range(60):
+                blocks = self._random_blocks(rng, range(1, degree + 1), k)
+                sides.add(math.prod(map(len, blocks)) <= orbit.size)
+                hit = find_section(orbit.masks, blocks)
+                assert (hit is not None) == self._brute(orbit.masks, blocks)
+                if hit is not None:
+                    assert hit in orbit.masks and self._brute([hit], blocks)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("name,degree,k", [("D(2*7)", 7, 3), ("AGL(1,17)", 17, 4)])
+    def test_fixed_point_form(self, name, degree, k):
+        rng = random.Random(7 * degree)
+        sides = set()
+        for orbit in orbits_on_ksets(build_named(name, degree), k):
+            for _ in range(60):
+                x = rng.randint(1, degree)
+                placed = rng.sample([p for p in range(1, degree + 1) if p != x],
+                                    rng.randint(k - 1, degree - 1))
+                others = self._random_blocks(rng, placed, k - 1)
+                sides.add(math.prod(map(len, others)) <= orbit.size)
+                fixed = 1 << (x - 1)
+                hit = find_section(orbit.masks, others, fixed)
+                assert (hit is not None) == self._brute(orbit.masks, others, fixed)
+                if hit is not None:
+                    assert hit & fixed and self._brute([hit], others, fixed)
+        assert sides == {True, False}
+
+    def test_first_hit_in_scan_order(self):
+        # a parent map is scanned in insertion (BFS) order
+        masks = {_mask((1, 2)): None, _mask((3, 4)): None, _mask((1, 4)): None}
+        blocks = [(1, 3), (2, 4)]
+        assert find_section(masks, blocks) == _mask((1, 2))
+        assert find_section(dict(reversed(masks.items())), blocks) == _mask((1, 4))
+
+
 class TestKHomogeneous:
     def test_examples(self):
         assert is_k_homogeneous(build_named("S5", 5), 3)
@@ -139,6 +250,24 @@ class TestIjHomogeneous:
                 ok, _ = is_ij_homogeneous(G, i, j)
                 dual, _ = is_ij_homogeneous(G, n - j, n - i)
                 assert ok == dual, (G.name, i, j)
+
+
+class TestIjOracle:
+    """is_ij_homogeneous, witness pair included, against every group element."""
+
+    def test_small_catalog(self, catalog_small):
+        failures = 0
+        for G in catalog_small:
+            n = G.degree
+            if n > 9 or G.order > 1512:
+                continue
+            for i, j in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 4)):
+                if j >= n:
+                    continue
+                got = is_ij_homogeneous(G, i, j)
+                assert got == brute_ij_homogeneous(G.gen_images(), n, i, j), (G.name, n, i, j)
+                failures += not got[0]
+        assert failures >= 10  # enough to exercise the witness pair
 
 
 class TestOrderBound:

@@ -4,9 +4,10 @@ import pytest
 
 from ut_lab.catalog import build_named
 from ut_lab.errors import BudgetExceeded
-from ut_lab.partitions import SubPartition
+from ut_lab.partitions import SetPartition, SubPartition
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
-from ut_lab.set_orbits import orbit_of_set, orbits_on_ksets
+from ut_lab import set_orbits
+from ut_lab.set_orbits import KSetOrbit, orbit_of_set, orbits_on_ksets
 from ut_lab.ut_deciders import (
     aux_graph,
     bad_partition_search_3ut,
@@ -15,6 +16,7 @@ from ut_lab.ut_deciders import (
     has_kut,
     has_kut_naive,
     has_weak_kut,
+    UtWitness,
     subpartition_extension_decider,
     two_graph_check,
     validate_ut_witness,
@@ -49,6 +51,26 @@ class TestNaive:
             if G.degree > 8 or not is_transitive(G):
                 continue
             assert has_kut_naive(G, 2).holds == is_primitive(G), G.name
+
+
+class TestWitnessCheckIndependence:
+    """validate_ut_witness must not read the orbit index the deciders fill."""
+
+    def test_corrupted_cache_changes_nothing(self):
+        G = build_named("AGL(1,13)")
+        good = has_kut(G, 3).witness
+        assert good is not None and validate_ut_witness(G, good)
+        # the representative is itself a section of this partition
+        bogus = UtWitness((1, 2, 3), SetPartition.of([(1,), (2,), range(3, 14)]))
+        assert not validate_ut_witness(G, bogus)
+        everything = frozenset(
+            sum(1 << (p - 1) for p in c) for c in itertools.combinations(range(1, 14), 3)
+        )
+        for masks in (everything, frozenset()):
+            # orbits that section every partition, then orbits that section none
+            set_orbits._ORBIT_CACHE[G][3] = (KSetOrbit((1, 2, 3), len(masks), masks),)
+            assert validate_ut_witness(G, good)
+            assert not validate_ut_witness(G, bogus)
 
 
 class TestAuxGraph:
