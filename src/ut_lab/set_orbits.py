@@ -3,9 +3,10 @@
 A k-set is a bitmask inside this module (bit p-1 set iff point p is in the
 set) and a sorted tuple of 1-based points at the API boundary.  An orbit
 holds its member masks, its size and its representative; the member tuples
-are made only on request.  `orbits_on_ksets` is the one enumerator of all
-k-set orbits of a group and caches its result per group, and
-`is_ij_homogeneous` reads the same cached orbits.  Orbit representatives are
+are made only on request.  `_find_orbits` is the one enumerator of all k-set
+orbits of a group.  `orbits_on_ksets` caches its result per group, and
+`is_ij_homogeneous` reads the cached orbits or, when there are none, takes
+them from the enumerator one at a time.  Orbit representatives are
 the lexicographically least members, so results do not depend on generator
 order.
 
@@ -21,7 +22,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from operator import getitem
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .perm_core import Images, PermGroup
@@ -105,10 +106,15 @@ class KSetOrbit:
 # Generator tables and orbit BFS
 
 # Above this degree a k-set sets few of a mask's many bytes, and a generator
-# acts as fast point by point as byte by byte, with far smaller tables: on
-# orbits of 3- to 5-sets, byte tables were faster up to degree 33, as fast
-# at 36-43, and slower at 64 and 176.
-BYTE_TABLE_MAX_DEGREE = 48
+# acts as fast point by point as byte by byte, with far smaller tables.
+# Time for all k-set orbits, byte tables over point tables, group and tables
+# built fresh, best of 5: 0.77-0.86 on AGL(1,47) (k = 3, 4), 0.84-0.94 on
+# AGL(1,53), 0.94-1.06 on AGL(1,59) and AGL(1,61), 1.09-1.41 on the two
+# degree-64 groups (k = 3), and 1.6 on the Higman-Sims 3-set orbit at 176.
+# The degree alone does not settle it: each generator adds one table per
+# byte, and on Sp(6,2), 8 generators, byte tables were 1.10-1.19 slower at
+# degrees 28 and 36 (k = 3).
+BYTE_TABLE_MAX_DEGREE = 61
 
 _GEN_TABLES: "weakref.WeakKeyDictionary[PermGroup, tuple[int, tuple]]"
 _GEN_TABLES = weakref.WeakKeyDictionary()
@@ -222,15 +228,25 @@ def orbits_on_ksets(
 ) -> tuple[KSetOrbit, ...]:
     """All orbits of k-sets, ordered by lex-least representative.
 
-    k-sets are visited in lexicographic order and each unseen one starts the
-    next orbit, so it is that orbit's least member and the orbits come out
-    sorted.  Orbit sizes sum to C(n, k).  Results are memoized per group.
+    Orbit sizes sum to C(n, k).  Results are memoized per group.
     """
     if not 1 <= k <= G.degree:
         raise ValueError(f"need 1 <= k <= degree, got k={k}")
     cache = _ORBIT_CACHE.setdefault(G, {})
-    if k in cache:
-        return cache[k]
+    if k not in cache:
+        for _ in _find_orbits(G, k, cap):
+            pass
+    return cache[k]
+
+
+def _find_orbits(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
+    """Yield the orbits of k-sets as they are found; cache them all at the end.
+
+    k-sets are visited in lexicographic order and each unseen one starts the
+    next orbit, so it is that orbit's least member and the orbits come out
+    sorted.  A caller that stops early caches nothing.  Raises CapExceeded
+    once more than `cap` k-sets have been seen.
+    """
     n = G.degree
     remaining = math.comb(n, k)
     seen: set[int] = set()
@@ -241,38 +257,31 @@ def orbits_on_ksets(
             continue
         masks = frozenset(_orbit_masks(G, m, cap - len(seen)))
         seen |= masks
-        orbits.append(KSetOrbit(kset_of_mask(m), len(masks), masks))
+        orbit = KSetOrbit(kset_of_mask(m), len(masks), masks)
+        orbits.append(orbit)
+        yield orbit
         remaining -= len(masks)
         if not remaining:
             break
-    result = tuple(orbits)
-    cache[k] = result
-    return result
+    _ORBIT_CACHE.setdefault(G, {})[k] = tuple(orbits)
 
 
-def find_section(
-    masks: Collection[int], blocks: Sequence[Sequence[int]], fixed: int = 0
-) -> int | None:
+def find_section(masks: Collection[int], blocks: Sequence[Sequence[int]]) -> int | None:
     """The first member of a k-set orbit that is a section of the blocks.
 
     `masks` are the orbit's member masks: a set, or a BFS parent map, which
     is scanned in visiting order.  `blocks` are disjoint point sets.  A
-    nonzero `fixed` is a point mask outside the blocks that the member must
-    contain, as one more singleton block.  A k-set that meets k disjoint
-    blocks meets each exactly once, so a member is a section iff it meets
-    every block.  Cheaper side first: when the prod |B_i| candidate sections
-    are no more than the orbit's members, they are looked up in product
-    order; otherwise the orbit is scanned, filtering on the smallest block.
+    k-set that meets k disjoint blocks meets each exactly once, so a member
+    is a section iff it meets every block.  Cheaper side first: when the
+    prod |B_i| candidate sections are no more than the orbit's members, they
+    are looked up in product order; otherwise the orbit is scanned,
+    filtering on the smallest block.
     """
     if math.prod(map(len, blocks)) <= len(masks):
         bits = [[1 << (p - 1) for p in b] for b in blocks]
-        candidates = map(sum, itertools.product((fixed,), *bits))
+        candidates = map(sum, itertools.product(*bits))
         return next(filter(masks.__contains__, candidates), None)
-    block_masks = [mask_of(b) for b in blocks]
-    if fixed:
-        block_masks.append(fixed)
-    block_masks.sort(key=int.bit_count)
-    first, *rest = block_masks
+    first, *rest = sorted(map(mask_of, blocks), key=int.bit_count)
     for m in filter(first.__and__, masks):
         if all(map(m.__and__, rest)):
             return m
@@ -306,13 +315,16 @@ def is_ij_homogeneous(
     Equivalent, by orbit invariance, to: every orbit of i-sets contains a
     subset of every j-set orbit representative.  On failure returns a witness
     pair (representative of the first missing i-orbit, representative of the
-    first j-orbit that misses it), orbits taken in representative order.
+    first j-orbit that misses it), orbits taken in representative order.  The
+    j-set orbits are found one at a time, so a failure returns without
+    enumerating the rest.
     """
     n = G.degree
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
     i_orbits = orbits_on_ksets(G, i, cap)
-    for j_orbit in orbits_on_ksets(G, j, cap):
+    j_orbits = _ORBIT_CACHE.get(G, {}).get(j) or _find_orbits(G, j, cap)
+    for j_orbit in j_orbits:
         rep = j_orbit.representative
         subsets = {mask_of(sub) for sub in itertools.combinations(rep, i)}
         for i_orbit in i_orbits:

@@ -528,11 +528,10 @@ def subpartition_extension_decider(
     for x in remaining:
         if not frontier:
             break
-        xmask = 1 << (x - 1)
         children = []
         for blocks in frontier:
             for i in range(k):
-                if find_section(masks, blocks[:i] + blocks[i + 1:], xmask) is None:
+                if find_section(masks, blocks[:i] + ((x,),) + blocks[i + 1:]) is None:
                     children.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:])
         if len(children) > frontier_cap:
             err = CapExceeded("extension frontier cap exceeded", len(children))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ut_lab.catalog import build_named
+from ut_lab import set_orbits
 from ut_lab.errors import CapExceeded
 from ut_lab.set_orbits import (
     as_kset,
@@ -105,7 +106,8 @@ class TestOrbitIndexOracle:
             ("AGL(1,17)", 17, 4),
             ("PSL(2,32)", 33, 3),
             ("PGammaL(2,32)", 33, 2),
-            ("2^6:G2(2)", 64, 2),  # above degree 48 generators act point by point
+            ("AGL(1,61)", 61, 2),  # the last degree with byte tables
+            ("2^6:G2(2)", 64, 2),  # above degree 61 generators act point by point
             ("AGL(1,67)", 67, 2),
             ("AGL(1,71)", 71, 3),
         ],
@@ -143,9 +145,8 @@ class TestFindSection:
     """The shared probe against a brute scan of the orbit's masks."""
 
     @staticmethod
-    def _brute(masks, blocks, fixed=0):
-        block_masks = [_mask(b) for b in blocks] + ([fixed] if fixed else [])
-        return any(all(m & b for b in block_masks) for m in masks)
+    def _brute(masks, blocks):
+        return any(all(m & _mask(b) for b in blocks) for m in masks)
 
     @staticmethod
     def _random_blocks(rng, points, nblocks):
@@ -156,37 +157,32 @@ class TestFindSection:
             blocks[rng.randrange(nblocks)].append(p)
         return [tuple(sorted(b)) for b in blocks]
 
-    @pytest.mark.parametrize("name,degree,k", [("D(2*7)", 7, 3), ("AGL(1,13)", 13, 3), ("AGL(1,17)", 17, 3)])
-    def test_partitions_both_sides(self, name, degree, k):
+    # Full partitions, and partial ones with a singleton block {x}, as the
+    # extension search probes them when it places a new point x.  With k = 3
+    # and the AGL groups, a partial partition has fewer candidate sections
+    # than any orbit has members, so it never takes the scan side.
+    @pytest.mark.parametrize("name,degree,k,singleton_scans", [
+        ("D(2*7)", 7, 3, True), ("AGL(1,13)", 13, 3, False),
+        ("AGL(1,17)", 17, 3, False), ("AGL(1,17)", 17, 4, True),
+    ])
+    def test_partitions_both_sides(self, name, degree, k, singleton_scans):
         rng = random.Random(1108 + degree)
         sides = set()
         for orbit in orbits_on_ksets(build_named(name, degree), k):
             for _ in range(60):
-                blocks = self._random_blocks(rng, range(1, degree + 1), k)
-                sides.add(math.prod(map(len, blocks)) <= orbit.size)
-                hit = find_section(orbit.masks, blocks)
-                assert (hit is not None) == self._brute(orbit.masks, blocks)
-                if hit is not None:
-                    assert hit in orbit.masks and self._brute([hit], blocks)
-        assert sides == {True, False}
-
-    @pytest.mark.parametrize("name,degree,k", [("D(2*7)", 7, 3), ("AGL(1,17)", 17, 4)])
-    def test_fixed_point_form(self, name, degree, k):
-        rng = random.Random(7 * degree)
-        sides = set()
-        for orbit in orbits_on_ksets(build_named(name, degree), k):
-            for _ in range(60):
+                full = self._random_blocks(rng, range(1, degree + 1), k)
                 x = rng.randint(1, degree)
                 placed = rng.sample([p for p in range(1, degree + 1) if p != x],
                                     rng.randint(k - 1, degree - 1))
-                others = self._random_blocks(rng, placed, k - 1)
-                sides.add(math.prod(map(len, others)) <= orbit.size)
-                fixed = 1 << (x - 1)
-                hit = find_section(orbit.masks, others, fixed)
-                assert (hit is not None) == self._brute(orbit.masks, others, fixed)
-                if hit is not None:
-                    assert hit & fixed and self._brute([hit], others, fixed)
-        assert sides == {True, False}
+                partial = [(x,)] + self._random_blocks(rng, placed, k - 1)
+                for form, blocks in (("full", full), ("singleton", partial)):
+                    sides.add((form, math.prod(map(len, blocks)) <= orbit.size))
+                    hit = find_section(orbit.masks, blocks)
+                    assert (hit is not None) == self._brute(orbit.masks, blocks)
+                    if hit is not None:
+                        assert hit in orbit.masks and self._brute([hit], blocks)
+        assert sides == {("full", True), ("full", False), ("singleton", True),
+                         ("singleton", not singleton_scans)}
 
     def test_first_hit_in_scan_order(self):
         # a parent map is scanned in insertion (BFS) order
@@ -269,6 +265,18 @@ class TestIjOracle:
                 failures += not got[0]
         assert failures >= 10  # enough to exercise the witness pair
 
+
+    def test_j_orbits_found_lazily(self):
+        # a failure stops at the first failing j-set orbit and caches no
+        # j-set orbits; a success caches them all; cached or not, the
+        # answer is the same
+        for i, j, holds in ((3, 4, False), (2, 3, True)):
+            G = build_named("AGL(1,17)")
+            got = is_ij_homogeneous(G, i, j)
+            assert got[0] is holds
+            assert (j in set_orbits._ORBIT_CACHE[G]) is holds
+            orbits_on_ksets(G, j)
+            assert is_ij_homogeneous(G, i, j) == got
 
 class TestOrderBound:
     def test_symmetric(self):

@@ -204,6 +204,15 @@ class TestHasKut:
         if not expected:
             assert validate_ut_witness(G, verdict.witness)
 
+    def test_ij_prune_stops_at_first_failing_orbit(self):
+        # C(131, 4) is above the default orbit cap: the (3,4) prune must fail
+        # on the first 4-set orbit instead of enumerating them all first
+        G = build_named("AGL(1,131)")
+        verdict = has_kut(G, 4)
+        assert verdict.holds is False and verdict.method.startswith("prune:")
+        assert validate_ut_witness(G, verdict.witness)
+        assert 4 not in set_orbits._ORBIT_CACHE[G]
+
     def test_methods_agree(self, catalog_small):
         for G in catalog_small:
             n = G.degree
