@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 Block = tuple[int, ...]
@@ -171,6 +171,87 @@ def enumerate_kpartitions(n: int, k: int) -> Iterator[SetPartition]:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     for a in _rgs_stream(n, k):
         yield SetPartition(tuple(tuple(b) for b in _blocks_of_rgs(a, k)))
+
+
+def first_unsectioned(
+    n: int, k: int, families: Sequence[Collection[int]]
+) -> tuple[SetPartition, int] | None:
+    """The first k-partition of {1..n}, in RGS order, that some family does
+    not section, and the index of the first such family; None if every
+    family has a section of every k-partition.
+
+    A family is any collection of k-set masks (bit p-1 set iff point p is in
+    the set), such as the members of one k-set orbit.  A k-set meets k
+    disjoint blocks iff it is a section of them, and whether it meets every
+    block of a partition is settled once its highest point is placed.  So
+    the search places points 1..n depth-first in restricted-growth order,
+    and once all k blocks are open it tests, for each family not yet
+    sectioned on the current path, only the members whose highest point was
+    just placed.  A subtree in which every family already has a section is
+    skipped.  Leaves come in the order of `enumerate_kpartitions`, so the
+    answer is that of scanning every partition against every family.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    # by_top[p]: (family index, its members whose highest point is p)
+    by_top: list[list[tuple[int, set[int]]]] = [[] for _ in range(n + 1)]
+    for i, family in enumerate(families):
+        groups: dict[int, set[int]] = {}
+        for m in family:
+            groups.setdefault(m.bit_length(), set()).add(m)
+        for top, members in groups.items():
+            by_top[top].append((i, members))
+    masks = [0] * k  # block j as a mask
+    bits: list[list[int]] = [[] for _ in range(k)]  # block j as point bits
+
+    def place(p: int, opened: int, unsectioned: int) -> int | None:
+        # Points 1..p-1 are placed in `opened` blocks; try point p in each
+        # block, existing ones only while the remaining points can still
+        # open the blocks that are missing.  Returns the unsectioned
+        # families of the first failing leaf below, or None.
+        bit = 1 << (p - 1)
+        first = 0 if n - p >= k - opened else opened
+        for v in range(first, min(opened, k - 1) + 1):
+            masks[v] |= bit
+            bits[v].append(bit)
+            now_open = opened + (v == opened)
+            left = unsectioned
+            if now_open == k and by_top[p]:
+                # A member with highest point p is a section iff it meets
+                # every block but v, which holds p.  Cheaper side first, as
+                # in set_orbits.find_section: look up the sections through
+                # p, or scan the members.  Calling find_section here, with
+                # its set-up per call, made the rank-k sweep of
+                # regularity_maps 1.6-1.9 times slower.
+                others = bits[:v] + bits[v + 1:]
+                choices = math.prod(map(len, others))
+                for i, members in by_top[p]:
+                    if not left >> i & 1:
+                        continue
+                    if choices <= len(members):
+                        sections = map(bit.__add__, map(sum, itertools.product(*others)))
+                        if any(map(members.__contains__, sections)):
+                            left ^= 1 << i
+                        continue
+                    for m in members:
+                        if all(map(m.__and__, masks)):
+                            left ^= 1 << i
+                            break
+            if left:
+                found = left if p == n else place(p + 1, now_open, left)
+                if found is not None:
+                    return found
+            masks[v] ^= bit
+            bits[v].pop()
+        return None
+
+    left = place(1, 0, (1 << len(families)) - 1) if families else None
+    if left is None:
+        return None
+    partition = SetPartition(tuple(
+        tuple(b.bit_length() for b in block) for block in bits
+    ))
+    return partition, (left & -left).bit_length() - 1
 
 
 def is_section(points: Iterable[int], partition: SetPartition | SubPartition) -> bool:

@@ -2,9 +2,14 @@
 
 The regularity test never enumerates group elements: a transformation a is
 regular in <a, G> exactly when the orbit of its image under G contains a
-section (transversal) of its kernel, and the witnessing group element is
-recovered from the orbit's BFS parent pointers.  Heavy closures run on raw
-image tuples; Transformation objects only appear at the API boundary.
+section (transversal) of its kernel.  The orbit's BFS stops at the first
+member that is a section, and the witnessing group element is recovered
+from the parent pointers it has so far; only a non-regular map pays for
+the whole orbit.  Every rank-k map is regular exactly when every k-set
+orbit sections every k-partition, and that search stops at the first
+partition some orbit misses (`partitions.first_unsectioned`).  Heavy
+closures run on raw image tuples; Transformation objects only appear at
+the API boundary.
 """
 from __future__ import annotations
 
@@ -14,12 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, DegreeMismatch
-from .partitions import SetPartition
+from .partitions import SetPartition, first_unsectioned
 from .perm_core import PermGroup, Permutation
 from .set_orbits import (
     KSet,
     _orbit_masks,
-    find_section,
     mask_of,
     orbits_on_ksets,
     trace_orbit_word,
@@ -123,18 +127,20 @@ def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> Regulari
     """Is a regular in <a, G>?  True iff rank(a g a) = rank(a) for some g in G.
 
     Decided without enumerating G: the orbit of image(a) must contain a
-    section of kernel(a).  The witness g is rebuilt from orbit parent
-    pointers and satisfies rank(a g a) = rank(a).
+    section of kernel(a).  The orbit's BFS stops at the first section it
+    reaches, and the witness g is rebuilt from the parent pointers up to
+    it; g is deterministic and satisfies rank(a g a) = rank(a).
     """
     if a.degree != G.degree:
         raise DegreeMismatch("transformation and group degrees differ")
     n = G.degree
     if a.rank == n:
         return RegularityResult(True, G.identity())
-    image_mask = mask_of(a.image_set())
-    parents = _orbit_masks(G, image_mask, cap)
-    target = find_section(parents, a.kernel().blocks)
-    if target is None:
+    blocks = [mask_of(b) for b in a.kernel().blocks]
+    parents = _orbit_masks(G, mask_of(a.image_set()), cap, section_of=blocks)
+    # The BFS stopped at its last member if and only if that is a section.
+    target = next(reversed(parents))
+    if not all(map(target.__and__, blocks)):
         return RegularityResult(False)
     g = Permutation(trace_orbit_word(G, parents, target))
     composite = t_compose(t_compose(a, Transformation.from_permutation(g)), a)
@@ -268,11 +274,12 @@ def regular_for_all_rank_k(
     """Are all rank-k transformations regular in <a, G>?
 
     method="kut" delegates to the k-universal transversal decider (the two
-    properties coincide); method="direct" runs the is_regular_in decision
-    core on every kernel partition against every k-set orbit, which covers
-    every image by G-equivariance.
+    properties coincide); method="direct" asks whether every k-set orbit
+    (which covers every image, by G-equivariance) has a section of every
+    k-partition (every kernel), and stops at the first partition that some
+    orbit misses: a depth-first search over the partitions that skips every
+    branch in which all orbits already have a section.
     """
-    from .partitions import enumerate_kpartitions
     from .ut_deciders import has_kut
 
     n = G.degree
@@ -286,11 +293,7 @@ def regular_for_all_rank_k(
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     orbits = orbits_on_ksets(G, k)
-    for partition in enumerate_kpartitions(n, k):
-        for orbit in orbits:
-            if find_section(orbit.masks, partition.blocks) is None:
-                return False
-    return True
+    return first_unsectioned(n, k, [orbit.masks for orbit in orbits]) is None
 
 
 def quasi_regularity_classifier(
@@ -315,7 +318,8 @@ def quasi_regularity_classifier(
     big_reps = [o.representative for o in orbits_on_ksets(G, n - k + 1)]
     image_reps = [o.representative for o in orbits_on_ksets(G, k)]
     for big in big_reps:
-        heads = [p for p in range(1, n + 1) if p not in set(big)]
+        big_points = set(big)
+        heads = [p for p in range(1, n + 1) if p not in big_points]
         for image in image_reps:
             blocks = [(h,) for h in heads] + [big]
             a = transformation_from_parts(blocks, image)

@@ -11,9 +11,11 @@ the lexicographically least members, so results do not depend on generator
 order.
 
 Generators act on masks through lookup tables built once per group (see
-`_generator_tables`).  `find_section` is the one test of whether an orbit
-contains a section of a set of disjoint blocks; the k-ut deciders and the
-regularity test share it.
+`_generator_tables`).  Every section test here uses one rule: a k-set is a
+section of k disjoint blocks iff it meets every block.  `find_section` asks
+it of a whole orbit for the extension search, and `_orbit_masks` asks it of
+each new member when the regularity test wants its BFS to stop at the
+first section.
 """
 from __future__ import annotations
 
@@ -159,14 +161,24 @@ def _generator_tables(G: PermGroup) -> tuple[int, tuple]:
     return entry
 
 
-def _orbit_masks(G: PermGroup, start_mask: int, cap: int) -> dict[int, int | None]:
+def _orbit_masks(
+    G: PermGroup, start_mask: int, cap: int, section_of: Sequence[int] | None = None
+) -> dict[int, int | None]:
     """BFS orbit of a set-mask; maps each member to the member it was first
     reached from, and the start mask to None.
 
-    Raises CapExceeded past `cap` members.
+    With `section_of`, the masks of disjoint blocks, the BFS stops at the
+    first member, the start included, that meets every block: that member
+    is the last key of the partial map returned.  Raises CapExceeded past
+    `cap` members.
     """
     nbytes, tables = _generator_tables(G)
+    # Filter on the smallest block first; with no blocks, `first` = 0 stops
+    # nothing.
+    first, *rest = sorted(section_of, key=int.bit_count) if section_of else (0,)
     parents: dict[int, int | None] = {start_mask: None}
+    if start_mask & first and all(map(start_mask.__and__, rest)):
+        return parents
     frontier = [start_mask]
     while frontier:
         fresh = []
@@ -176,6 +188,8 @@ def _orbit_masks(G: PermGroup, start_mask: int, cap: int) -> dict[int, int | Non
                 im = sum(map(getitem, table, keys))
                 if im not in parents:
                     parents[im] = m
+                    if im & first and all(map(im.__and__, rest)):
+                        return parents
                     fresh.append(im)
             if len(parents) > cap:
                 raise CapExceeded("k-set orbit cap exceeded", len(parents))
@@ -269,10 +283,10 @@ def _find_orbits(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
 def find_section(masks: Collection[int], blocks: Sequence[Sequence[int]]) -> int | None:
     """The first member of a k-set orbit that is a section of the blocks.
 
-    `masks` are the orbit's member masks: a set, or a BFS parent map, which
-    is scanned in visiting order.  `blocks` are disjoint point sets.  A
-    k-set that meets k disjoint blocks meets each exactly once, so a member
-    is a section iff it meets every block.  Cheaper side first: when the
+    `masks` is the set of the orbit's member masks and `blocks` are
+    disjoint point sets.  A k-set that meets k disjoint blocks meets each
+    exactly once, so a member is a section iff it meets every block.
+    Cheaper side first: when the
     prod |B_i| candidate sections are no more than the orbit's members, they
     are looked up in product order; otherwise the orbit is scanned,
     filtering on the smallest block.

@@ -5,7 +5,8 @@ for every partition of {1..n} into k blocks.  The dispatcher `has_kut` runs,
 in order: the large-k homogeneity equivalence, the primitivity criterion for
 k=2, the k-homogeneity sufficient condition, the necessary-condition pruners
 (order bound, (k-1,k)-homogeneity, auxiliary-graph connectivity), and finally
-an exact search: either the naive orbit-times-partition scan or the
+an exact search: either the naive search of every k-partition against every
+k-set orbit, which stops at the first partition some orbit misses, or the
 subpartition extension decider seeded by k-set orbit representatives.
 
 Every negative verdict carries a witness pair (orbit representative, bad
@@ -24,8 +25,10 @@ from .errors import BudgetExceeded, CapExceeded
 from .partitions import (
     SetPartition,
     SubPartition,
-    _blocks_of_rgs,
+    # Not called here since the naive decider became a search, but
+    # perfbench/spans.py wraps ut_deciders._rgs_stream, so the name stays.
     _rgs_stream,
+    first_unsectioned,
     singleton_tail_partition,
     stirling2,
 )
@@ -123,10 +126,13 @@ def has_kut_naive(
     partition_budget: int = NAIVE_PARTITION_BUDGET,
     shortcut_k2: bool = False,
 ) -> UtVerdict:
-    """Exact k-ut decision by scanning every k-partition against every orbit.
+    """Exact k-ut decision: does every orbit section every k-partition?
 
-    Declares itself infeasible (BudgetExceeded) when the Stirling number
-    S(n, k) exceeds the partition budget.
+    A depth-first search over the k-partitions (`first_unsectioned`) that
+    skips every branch in which all orbits already have a section; its
+    first failure is the first partition in RGS order that an orbit misses,
+    with the first such orbit.  Declares itself infeasible (BudgetExceeded)
+    when the Stirling number S(n, k) exceeds the partition budget.
     """
     n = G.degree
     if not 2 <= k <= n:
@@ -139,13 +145,11 @@ def has_kut_naive(
             f"S({n},{k}) = {count} partitions exceed the naive budget {partition_budget}"
         )
     orbits = orbits_on_ksets(G, k)
-    for a in _rgs_stream(n, k):
-        blocks = _blocks_of_rgs(a, k)
-        for orbit in orbits:
-            if find_section(orbit.masks, blocks) is None:
-                partition = SetPartition(tuple(tuple(b) for b in blocks))
-                return _checked_failure(G, orbit.representative, partition, "naive")
-    return UtVerdict(True, "naive")
+    failure = first_unsectioned(n, k, [orbit.masks for orbit in orbits])
+    if failure is None:
+        return UtVerdict(True, "naive")
+    partition, i = failure
+    return _checked_failure(G, orbits[i].representative, partition, "naive")
 
 
 def _kut_k2_by_primitivity(G: PermGroup) -> UtVerdict:

@@ -1,7 +1,11 @@
 """Independent oracles for the test suite.
 
 These deliberately re-derive expected values with the dumbest possible code,
-sharing nothing with the library implementations they check.
+sharing nothing with the library implementations they check.  The one
+exception is `scan_first_unsectioned`, the plain partition scan that the
+library's depth-first partition search replaced; it is built on the RGS
+enumerator and the section probe, which are checked against oracles of
+their own.
 """
 from __future__ import annotations
 
@@ -125,3 +129,19 @@ def brute_ij_homogeneous(
             if moved.isdisjoint(inside):
                 return False, (I, J)
     return True, None
+
+
+def scan_first_unsectioned(n: int, k: int, families: list[frozenset[int]]):
+    """Every k-partition in RGS order against every family of k-set masks.
+
+    Returns (first partition some family misses, index of the first such
+    family), or None when every family sections every partition.
+    """
+    from ut_lab.partitions import enumerate_kpartitions
+    from ut_lab.set_orbits import find_section
+
+    for partition in enumerate_kpartitions(n, k):
+        for i, family in enumerate(families):
+            if find_section(family, partition.blocks) is None:
+                return partition, i
+    return None

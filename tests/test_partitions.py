@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from ut_lab.partitions import (
     SetPartition,
     SubPartition,
     enumerate_kpartitions,
+    first_unsectioned,
     is_section,
     relabel,
     section_count,
@@ -17,7 +19,9 @@ from ut_lab.partitions import (
     stirling2,
 )
 
-from _oracles import stirling_recurrence
+from ut_lab.set_orbits import orbits_on_ksets
+
+from _oracles import scan_first_unsectioned, stirling_recurrence
 
 
 class TestEnumeration:
@@ -144,3 +148,50 @@ class TestSteinerBadPartition:
             steiner_bad_partition(block=(1, 2), inside=(1, 2), n=8, k=4)
         with pytest.raises(ValueError):
             steiner_bad_partition(block=(1, 2, 3), inside=(4,), n=8, k=3)
+
+
+class TestFirstUnsectioned:
+    """The depth-first partition search against the plain scan it replaced."""
+
+    def test_catalog_orbits(self, catalog_small):
+        for G in catalog_small:
+            n = G.degree
+            for k in range(2, (n + 1) // 2 + 1):
+                families = [orbit.masks for orbit in orbits_on_ksets(G, k)]
+                got = first_unsectioned(n, k, families)
+                assert got == scan_first_unsectioned(n, k, families), (G.name, n, k)
+
+    def test_random_families(self):
+        # Families of k-sets that are no group's orbits: sparse ones fail
+        # early, dense ones late or never.
+        rng = random.Random(1108)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            k = rng.randint(1, n)
+            ksets = [sum(1 << (p - 1) for p in c)
+                     for c in itertools.combinations(range(1, n + 1), k)]
+            families = []
+            for _ in range(rng.randint(1, 4)):
+                density = rng.choice((0.0, 0.3, 0.7, 0.9, 1.0))
+                families.append(frozenset(m for m in ksets if rng.random() < density))
+            got = first_unsectioned(n, k, families)
+            assert got == scan_first_unsectioned(n, k, families), (n, k, families)
+            seen.add(got is None)
+        assert seen == {True, False}
+
+    def test_first_partition_and_family(self):
+        # {1,2} sections every 2-partition except 1,2|3; the empty family
+        # sections none.
+        assert first_unsectioned(3, 2, [frozenset({0b011})]) == (SetPartition.parse("1,2|3"), 0)
+        everything = frozenset({0b011, 0b101, 0b110})
+        assert first_unsectioned(3, 2, [everything]) is None
+        assert first_unsectioned(3, 2, [everything, frozenset()]) == (
+            SetPartition.parse("1,2|3"), 1)
+        assert first_unsectioned(3, 2, []) is None
+
+    def test_bad_args(self):
+        with pytest.raises(ValueError):
+            first_unsectioned(3, 0, [])
+        with pytest.raises(ValueError):
+            first_unsectioned(3, 4, [])

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ut_lab.catalog import build_named
 from ut_lab.errors import DegreeMismatch
-from ut_lab.perm_core import Permutation
+from ut_lab.perm_core import PermGroup, Permutation
 from ut_lab.semigroup import (
     QuasiPermutation,
     Transformation,
@@ -19,6 +19,8 @@ from ut_lab.semigroup import (
     t_compose,
     transformation_from_parts,
 )
+from ut_lab.set_orbits import _orbit_masks, mask_of, orbit_of_set
+from ut_lab.ut_deciders import has_kut_naive
 
 from _oracles import brute_semigroup_closure, brute_set_orbit
 
@@ -92,7 +94,7 @@ class TestIsRegularIn:
 
     @pytest.mark.parametrize("name,degree", [("AGL(1,17)", 17), ("AGL(1,67)", 67)])
     def test_witness_deterministic_and_valid(self, name, degree):
-        # random ranks 2-6 reach both sides of the shared section probe
+        # random ranks 2-6 give regular and non-regular maps
         rng = random.Random(5)
         G = build_named(name)
         for _ in range(30):
@@ -135,6 +137,57 @@ class TestIsRegularIn:
                 Transformation.from_permutation(h),
             )
             assert is_regular_in(moved, G).regular == base
+
+
+class TestEarlyStoppingBfs:
+    """The image's orbit BFS stops at the first section of the kernel."""
+
+    def test_start_image_already_a_section(self):
+        G = build_named("PSL(2,7)")
+        a = transformation_from_parts([(1, 4, 5), (2, 6), (3, 7, 8)], (1, 2, 3))
+        start = mask_of(a.image_set())
+        blocks = [mask_of(b) for b in a.kernel().blocks]
+        assert _orbit_masks(G, start, 10**7, section_of=blocks) == {start: None}
+        assert is_regular_in(a, G).witness.images == G.identity().images
+
+    def test_regular_map_stops_inside_the_orbit(self):
+        G = build_named("PGL(2,23)")
+        blocks = [tuple(range(i, 25, 6)) for i in range(1, 7)]
+        a = transformation_from_parts(blocks, (1, 7, 13, 19, 2, 8))
+        start = mask_of(a.image_set())
+        block_masks = [mask_of(b) for b in blocks]
+        parents = _orbit_masks(G, start, 10**7, section_of=block_masks)
+        assert 1 < len(parents) < orbit_of_set(G, a.image_set()).size
+        target = next(reversed(parents))
+        assert all(target & b for b in block_masks)
+        assert not any(all(m & b for b in block_masks) for m in list(parents)[:-1])
+        g = is_regular_in(a, G).witness
+        assert mask_of(g.images[y - 1] for y in a.image_set()) == target
+
+    def test_agrees_with_closure(self):
+        # Catalog groups with the non-regular maps that their k-ut witnesses
+        # plant, and two small intransitive groups, where random maps are
+        # often non-regular.
+        groups = [build_named(name) for name in ("C4", "D(2*4)", "C5", "C6", "PSL(2,5)")]
+        groups.append(PermGroup.from_gens([Permutation.identity(6)]))
+        groups.append(PermGroup.from_gens([Permutation((2, 1, 4, 5, 3, 6))]))
+        rng = random.Random(1108)
+        planted = answers = 0
+        for G in groups:
+            n = G.degree
+            maps = [Transformation(tuple(rng.randint(1, n) for _ in range(n)))
+                    for _ in range(12)]
+            for k in range(2, n):
+                verdict = has_kut_naive(G, k)
+                if verdict.holds is False:
+                    w = verdict.witness
+                    maps.append(transformation_from_parts(w.partition.blocks, w.orbit_rep))
+                    planted += 1
+            for a in maps:
+                regular = is_regular_in(a, G).regular
+                assert regular == regular_in_closure(a, G), (G, a)
+                answers |= 1 << regular
+        assert planted >= 4 and answers == 0b11
 
 
 class TestClosure:

@@ -22,7 +22,7 @@ from ut_lab.ut_deciders import (
     validate_ut_witness,
 )
 
-from _oracles import brute_orbit_universal
+from _oracles import brute_orbit_universal, scan_first_unsectioned
 
 
 class TestNaive:
@@ -45,6 +45,25 @@ class TestNaive:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             has_kut_naive(build_named("S12"), 5, partition_budget=1000)
+
+    # The kut_sweep benchmark cells that has_kut sends to the naive decider.
+    @pytest.mark.parametrize("name,degree,k", [
+        ("C5", 5, 3), ("D(2*5)", 5, 3), ("PSL(2,5)", 6, 3), ("AGL(1,7)", 7, 3),
+        ("AGL(1,7)", 7, 4), ("PGL(2,7)", 8, 4), ("ASL(2,3)", 9, 5), ("AGL(2,3)", 9, 5),
+        ("PSL(2,9)", 10, 3), ("S6", 10, 3), ("PSigmaL(2,9)", 10, 3), ("11:5", 11, 3),
+        ("AGL(1,11)", 11, 3),
+    ])
+    def test_matches_partition_scan(self, name, degree, k):
+        G = build_named(name, degree)
+        orbits = orbits_on_ksets(G, k)
+        verdict = has_kut_naive(G, k)
+        failure = scan_first_unsectioned(degree, k, [orbit.masks for orbit in orbits])
+        if failure is None:
+            assert verdict.holds is True and verdict.witness is None
+        else:
+            partition, i = failure
+            assert verdict.holds is False
+            assert verdict.witness == UtWitness(orbits[i].representative, partition)
 
     def test_k2_matches_primitivity_on_catalog(self, catalog_small):
         for G in catalog_small:
