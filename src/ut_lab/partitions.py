@@ -188,21 +188,27 @@ def first_unsectioned(
     and once all k blocks are open it tests, for each family not yet
     sectioned on the current path, only the members whose highest point was
     just placed.  A subtree in which every family already has a section is
-    skipped.  Leaves come in the order of `enumerate_kpartitions`, so the
-    answer is that of scanning every partition against every family.
+    skipped, and a family holding all C(n, k) k-sets, which sections every
+    partition, is never tested.  Leaves come in the order of
+    `enumerate_kpartitions`, so the answer is that of scanning every
+    partition against every family.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    all_ksets = math.comb(n, k)
+    tested = 0  # bit i set iff family i is tested
     # by_top[p]: (family index, its members whose highest point is p)
     by_top: list[list[tuple[int, set[int]]]] = [[] for _ in range(n + 1)]
     for i, family in enumerate(families):
         groups: dict[int, set[int]] = {}
         for m in family:
             groups.setdefault(m.bit_length(), set()).add(m)
+        if sum(map(len, groups.values())) == all_ksets:
+            continue
+        tested |= 1 << i
         for top, members in groups.items():
             by_top[top].append((i, members))
     masks = [0] * k  # block j as a mask
-    bits: list[list[int]] = [[] for _ in range(k)]  # block j as point bits
 
     def place(p: int, opened: int, unsectioned: int) -> int | None:
         # Points 1..p-1 are placed in `opened` blocks; try point p in each
@@ -213,43 +219,27 @@ def first_unsectioned(
         first = 0 if n - p >= k - opened else opened
         for v in range(first, min(opened, k - 1) + 1):
             masks[v] |= bit
-            bits[v].append(bit)
             now_open = opened + (v == opened)
             left = unsectioned
-            if now_open == k and by_top[p]:
-                # A member with highest point p is a section iff it meets
-                # every block but v, which holds p.  Cheaper side first, as
-                # in set_orbits.find_section: look up the sections through
-                # p, or scan the members.  Calling find_section here, with
-                # its set-up per call, made the rank-k sweep of
-                # regularity_maps 1.6-1.9 times slower.
-                others = bits[:v] + bits[v + 1:]
-                choices = math.prod(map(len, others))
+            if now_open == k:
                 for i, members in by_top[p]:
-                    if not left >> i & 1:
-                        continue
-                    if choices <= len(members):
-                        sections = map(bit.__add__, map(sum, itertools.product(*others)))
-                        if any(map(members.__contains__, sections)):
-                            left ^= 1 << i
-                        continue
-                    for m in members:
-                        if all(map(m.__and__, masks)):
-                            left ^= 1 << i
-                            break
+                    if left >> i & 1:
+                        for m in members:
+                            if all(map(m.__and__, masks)):
+                                left ^= 1 << i
+                                break
             if left:
                 found = left if p == n else place(p + 1, now_open, left)
                 if found is not None:
                     return found
             masks[v] ^= bit
-            bits[v].pop()
         return None
 
-    left = place(1, 0, (1 << len(families)) - 1) if families else None
+    left = place(1, 0, tested) if tested else None
     if left is None:
         return None
     partition = SetPartition(tuple(
-        tuple(b.bit_length() for b in block) for block in bits
+        tuple(p for p in range(1, n + 1) if mask >> (p - 1) & 1) for mask in masks
     ))
     return partition, (left & -left).bit_length() - 1
 

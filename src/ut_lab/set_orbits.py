@@ -173,12 +173,14 @@ def _orbit_masks(
     `cap` members.
     """
     nbytes, tables = _generator_tables(G)
-    # Filter on the smallest block first; with no blocks, `first` = 0 stops
-    # nothing.
-    first, *rest = sorted(section_of, key=int.bit_count) if section_of else (0,)
     parents: dict[int, int | None] = {start_mask: None}
-    if start_mask & first and all(map(start_mask.__and__, rest)):
-        return parents
+    # The full BFS tests only the `stop` flag per new member; the section
+    # test filters on the smallest block first.
+    stop = bool(section_of)
+    if stop:
+        first, *rest = sorted(section_of, key=int.bit_count)
+        if start_mask & first and all(map(start_mask.__and__, rest)):
+            return parents
     frontier = [start_mask]
     while frontier:
         fresh = []
@@ -188,7 +190,7 @@ def _orbit_masks(
                 im = sum(map(getitem, table, keys))
                 if im not in parents:
                     parents[im] = m
-                    if im & first and all(map(im.__and__, rest)):
+                    if stop and im & first and all(map(im.__and__, rest)):
                         return parents
                     fresh.append(im)
             if len(parents) > cap:

@@ -188,6 +188,8 @@ class TestFirstUnsectioned:
         assert first_unsectioned(3, 2, [everything]) is None
         assert first_unsectioned(3, 2, [everything, frozenset()]) == (
             SetPartition.parse("1,2|3"), 1)
+        # Three copies of one 2-set are not all three 2-sets.
+        assert first_unsectioned(3, 2, [[0b011] * 3]) == (SetPartition.parse("1,2|3"), 0)
         assert first_unsectioned(3, 2, []) is None
 
     def test_bad_args(self):

@@ -4,18 +4,22 @@
 Usage, from anywhere:
 
     python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload regularity_maps \\
-        --seed 1 --pairs 10 [--seconds 20] [--trace 0]
+        --seed 1 --pairs 10
 
 Each pair runs ``perfbench/run.py`` once in each checkout, with the same
-workload and seed, and alternates which checkout goes first, so a drift in
-the host's speed falls on both sides alike.  For every metric the script
-prints both sides' median and quartiles and the number of pairs the change
-won, and calls the metric a gain or a loss only when the change won (or
-lost) at least nine pairs in ten and the medians differ by more than the
-parent's interquartile range.  Whether higher or lower is better comes from
-the change checkout's ``BENCHMARK.json``.  Any run that does not report
-``"correct": true`` stops the script with an error.  Standard library only;
-the benchmark is run as a subprocess and nothing of it is imported.
+workload, seed and run length (``run_seconds`` of the change checkout's
+``BENCHMARK.json``), and alternates which checkout goes first, so a drift
+in the host's speed falls on both sides alike.  For every metric the
+script prints both sides' median and quartiles and the number of pairs the
+change won, and calls the metric a gain or a loss only when the change won
+(or lost) at least nine pairs in ten and the medians differ by more than
+the parent's interquartile range.  Only metrics both sides report are
+compared; the others are listed by name.  Whether higher or lower is better
+comes from the change checkout's ``BENCHMARK.json``.  Any run that does not
+report ``"correct": true`` stops the script with an error.  Runs are
+untraced; run ``perfbench/run.py --trace 1`` for per-layer figures.
+Standard library only; the benchmark is run as a subprocess and nothing of
+it is imported.
 """
 from __future__ import annotations
 
@@ -36,14 +40,12 @@ def parse_args(argv):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return ap.parse_args(argv)
 
 
-def run_once(checkout: Path, args) -> dict[str, float]:
+def run_once(checkout: Path, args, seconds: float) -> dict[str, float]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seed", str(args.seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     report = json.loads(lines[-1]) if lines else {}
@@ -53,9 +55,11 @@ def run_once(checkout: Path, args) -> dict[str, float]:
     return {name: m["value"] for name, m in report["metrics"].items()}
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def benchmark_spec(checkout: Path) -> tuple[float, dict[str, str]]:
+    """The run length and each metric's better direction."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return spec["run_seconds"], better
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -67,18 +71,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    better = directions(args.change)
+    seconds, better = benchmark_spec(args.change)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args))
+            runs[side].append(run_once(getattr(args, side), args, seconds))
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    new_names, old_names = runs["change"][0].keys(), runs["parent"][0].keys()
+    for side, missing in (("parent", new_names - old_names), ("change", old_names - new_names)):
+        if missing:
+            print(f"not reported by the {side}, not compared: {', '.join(sorted(missing))}")
     print(f"{'metric':44} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
           f"{'wins':>6}  verdict")
-    for name in runs["change"][0]:
+    for name in (n for n in new_names if n in old_names):
         sign = 1 if better.get(name, "lower") == "higher" else -1
         old = [r[name] for r in runs["parent"]]
         new = [r[name] for r in runs["change"]]
