@@ -7,16 +7,19 @@ member that is a section, and the witnessing group element is recovered
 from the parent pointers it has so far; only a non-regular map pays for
 the whole orbit.  Every rank-k map is regular exactly when every k-set
 orbit sections every k-partition, and that search stops at the first
-partition some orbit misses (`partitions.first_unsectioned`).  Heavy
-closures run on raw image tuples; Transformation objects only appear at
-the API boundary.
+partition some orbit misses (`partitions.first_unsectioned`).  Inside a
+given semigroup, b is regular when some element maps each point of
+image(b) into b's fiber over it, which `_regularity_test` looks up among
+the elements' restrictions to image(b).  Heavy closures run on raw image
+tuples; Transformation objects only appear at the API boundary.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, DegreeMismatch
 from .partitions import SetPartition, first_unsectioned
@@ -200,25 +203,37 @@ def is_regular_semigroup(
         y = rng.choice(elements)
         if _t_mult(x, y) not in universe:
             raise ValueError("input is not closed under composition")
+    regular = _regularity_test(elements)
     for b in elements:
-        if not _regular_inside(b, elements):
+        if not regular(b):
             return False, Transformation(b)
     return True, None
 
 
-def _regular_inside(b: tuple[int, ...], elements: Sequence[tuple[int, ...]]) -> bool:
-    # b c b = b needs c to act injectively on image(b); checking that first
-    # skips most candidates cheaply.
-    image = sorted(set(b))
-    rank = len(image)
-    for c in elements:
-        moved = [c[y - 1] for y in image]
-        if len(set(moved)) != rank:
-            continue
-        # b c b == b iff every image point y returns to its own fiber image
-        if all(b[c[y - 1] - 1] == y for y in image):
-            return True
-    return False
+def _regularity_test(
+    elements: Sequence[tuple[int, ...]]
+) -> Callable[[tuple[int, ...]], bool]:
+    """The test "is b c b = b for some c in `elements`?", for any b.
+
+    b c b = b iff c sends every y in image(b) into b's fiber over y.  The
+    restrictions of the elements to an image set are collected once, on
+    first use, and b looks up the product of its fibers among them.  The
+    fibers partition {1..n}, so there are at most 3^(n/3) such products.
+    """
+    restrictions: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+
+    def regular(b: tuple[int, ...]) -> bool:
+        fibers: dict[int, list[int]] = {}
+        for x, y in enumerate(b, start=1):
+            fibers.setdefault(y, []).append(x)
+        image = tuple(sorted(fibers))
+        seen = restrictions.get(image)
+        if seen is None:
+            seen = {tuple(c[y - 1] for y in image) for c in elements}
+            restrictions[image] = seen
+        return not seen.isdisjoint(itertools.product(*(fibers[y] for y in image)))
+
+    return regular
 
 
 def regular_in_closure(

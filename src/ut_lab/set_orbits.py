@@ -11,11 +11,9 @@ the lexicographically least members, so results do not depend on generator
 order.
 
 Generators act on masks through lookup tables built once per group (see
-`_generator_tables`).  Every section test here uses one rule: a k-set is a
-section of k disjoint blocks iff it meets every block.  `find_section` asks
-it of a whole orbit for the extension search, and `_orbit_masks` asks it of
-each new member when the regularity test wants its BFS to stop at the
-first section.
+`_generator_tables`).  A k-set is a section of k disjoint blocks iff it
+meets every block; `_orbit_masks` asks that of each new member when the
+regularity test wants its BFS to stop at the first section.
 """
 from __future__ import annotations
 
@@ -24,7 +22,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from operator import getitem
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .perm_core import Images, PermGroup
@@ -280,28 +278,6 @@ def _find_orbits(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
         if not remaining:
             break
     _ORBIT_CACHE.setdefault(G, {})[k] = tuple(orbits)
-
-
-def find_section(masks: Collection[int], blocks: Sequence[Sequence[int]]) -> int | None:
-    """The first member of a k-set orbit that is a section of the blocks.
-
-    `masks` is the set of the orbit's member masks and `blocks` are
-    disjoint point sets.  A k-set that meets k disjoint blocks meets each
-    exactly once, so a member is a section iff it meets every block.
-    Cheaper side first: when the
-    prod |B_i| candidate sections are no more than the orbit's members, they
-    are looked up in product order; otherwise the orbit is scanned,
-    filtering on the smallest block.
-    """
-    if math.prod(map(len, blocks)) <= len(masks):
-        bits = [[1 << (p - 1) for p in b] for b in blocks]
-        candidates = map(sum, itertools.product(*bits))
-        return next(filter(masks.__contains__, candidates), None)
-    first, *rest = sorted(map(mask_of, blocks), key=int.bit_count)
-    for m in filter(first.__and__, masks):
-        if all(map(m.__and__, rest)):
-            return m
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ k=2, the k-homogeneity sufficient condition, the necessary-condition pruners
 (order bound, (k-1,k)-homogeneity, auxiliary-graph connectivity), and finally
 an exact search: either the naive search of every k-partition against every
 k-set orbit, which stops at the first partition some orbit misses, or the
-subpartition extension decider seeded by k-set orbit representatives.
+subpartition extension decider seeded by k-set orbit representatives, a
+depth-first search that stops at the first completion an orbit misses.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -38,7 +39,6 @@ from .set_orbits import (
     KSet,
     KSetOrbit,
     as_kset,
-    find_section,
     is_ij_homogeneous,
     is_k_homogeneous,
     kset_of_mask,
@@ -95,7 +95,7 @@ def validate_ut_witness(G: PermGroup, witness: UtWitness) -> bool:
     """Exhaustively re-check a negative witness, independent of the decider.
 
     The orbit comes from a fresh BFS and every member is tested here, so
-    neither the orbit cache nor `find_section` is trusted.
+    neither the orbit cache nor the deciders' section probes are trusted.
     """
     blocks = witness.partition.blocks
     if witness.partition.n != G.degree or len(blocks) != len(witness.orbit_rep):
@@ -506,11 +506,24 @@ def subpartition_extension_decider(
 ) -> UtVerdict:
     """Decide whether the orbit sections every partition refining the seed.
 
-    Breadth-first extension: the smallest unplaced point is added to each of
-    the k blocks in turn, and any subpartition already sectioned by the orbit
-    is pruned (a section of a subpartition stays a section of every
-    completion).  An empty frontier certifies the verdict; a surviving full
-    partition is a validated witness.
+    Depth-first extension: the unplaced points are placed in ascending
+    order, each into blocks 0..k-1 in turn, and a subpartition the orbit
+    already sections is pruned (a section of a subpartition stays a section
+    of every completion).  The search stops at the first full partition
+    that survives, which is a validated witness; it is the first survivor
+    in lexicographic order of block choices, the leaf a breadth-first
+    search would list first.  A search that ends without one certifies the
+    verdict.
+
+    `detail["frontier_profile"]` counts the unsectioned subpartitions met
+    at each level, the seed's level first.  When the verdict holds, the
+    search has met every one of them, and the profile ends with the first
+    level that has none; on a failure it counts only those met before the
+    witness, one level per unplaced point.  More than `frontier_cap` of
+    them at one level raises CapExceeded as soon as the count passes the
+    cap: its `.partial` is then always frontier_cap + 1, and its `.profile`
+    is the profile so far, whose levels count only the subpartitions met
+    before the search stopped, not whole levels.
     """
     n = G.degree
     if seed.num_blocks != k:
@@ -521,35 +534,60 @@ def subpartition_extension_decider(
         raise ValueError("seed places a point outside the domain")
     masks = orbit.masks
     placed = seed.support
-    remaining = [p for p in range(1, n + 1) if p not in placed]
-    profile: list[int] = []
-    start = tuple(tuple(b) for b in seed.blocks)
-    if find_section(masks, start) is not None:
-        frontier: list[tuple[tuple[int, ...], ...]] = []
-    else:
-        frontier = [start]
-    profile.append(len(frontier))
-    for x in remaining:
-        if not frontier:
-            break
-        children = []
-        for blocks in frontier:
-            for i in range(k):
-                if find_section(masks, blocks[:i] + ((x,),) + blocks[i + 1:]) is None:
-                    children.append(blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:])
-        if len(children) > frontier_cap:
-            err = CapExceeded("extension frontier cap exceeded", len(children))
-            err.profile = profile  # type: ignore[attr-defined]
+    remaining = [1 << (p - 1) for p in range(1, n + 1) if p not in placed]
+    # Each block as a list of one-bit masks, changed in place as points are
+    # placed and taken back.
+    bits = [[1 << (p - 1) for p in b] for b in seed.blocks]
+    profile = [0] * (len(remaining) + 1)
+
+    def survives(depth: int) -> bool:
+        """Is some completion of the current, unsectioned subpartition
+        unsectioned?  Leaves the first one found in `bits`."""
+        profile[depth] += 1
+        if profile[depth] > frontier_cap:
+            err = CapExceeded("extension frontier cap exceeded", profile[depth])
+            err.profile = profile[:depth + 1]  # type: ignore[attr-defined]
             raise err
-        frontier = children
-        profile.append(len(frontier))
-    detail = {"frontier_profile": profile}
-    if frontier:
-        partition = SetPartition.of(frontier[0])
+        if depth == len(remaining):
+            return True
+        x = remaining[depth]
+        for i, block in enumerate(bits):
+            # The parent has no section, so the child has one iff some
+            # member through x meets every other block.
+            bits[i] = [x]
+            sectioned = _has_section(masks, bits)
+            bits[i] = block
+            if sectioned:
+                continue
+            block.append(x)
+            if survives(depth + 1):
+                return True
+            block.pop()
+        return False
+
+    if not _has_section(masks, bits) and survives(0):
+        partition = SetPartition.of(kset_of_mask(sum(b)) for b in bits)
         return _checked_failure(
-            G, orbit.representative, partition, "extension", detail
+            G, orbit.representative, partition, "extension",
+            {"frontier_profile": profile},
         )
-    return UtVerdict(True, "extension", detail=detail)
+    reached = [count for count in profile if count]
+    return UtVerdict(True, "extension",
+                     detail={"frontier_profile": reached + [0]})
+
+
+def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
+    """Does some orbit member meet every block?  Blocks are lists of bits.
+
+    A k-set that meets k disjoint blocks meets each exactly once.  Cheaper
+    side first: when the prod |B_i| candidate sections are no more than the
+    orbit's members they are looked up, else the orbit is scanned,
+    filtering on the smallest block.
+    """
+    if math.prod(map(len, bits)) <= len(masks):
+        return not masks.isdisjoint(map(sum, itertools.product(*bits)))
+    first, *rest = sorted(map(sum, bits), key=int.bit_count)
+    return any(all(map(m.__and__, rest)) for m in masks if m & first)
 
 
 def _extension_universal(

@@ -24,7 +24,7 @@ from .semigroup import (
     regular_for_all_rank_k,
     regular_in_closure,
     _closure_tuples,
-    _regular_inside,
+    _regularity_test,
 )
 from .set_orbits import is_ij_homogeneous, is_k_homogeneous, orbits_on_ksets
 from .ut_deciders import (
@@ -350,9 +350,10 @@ def criterion_12() -> tuple[bool | None, str]:
     a = Transformation.parse("1,4,5,2,2,2,2,2,2")
     closure = _closure_tuples([g.images for g in G9.generators] + [a.images], 500_000)
     elements = sorted(closure)
+    regular = _regularity_test(elements)
     witness = None
     for b in [a.images] + elements:
-        if not _regular_inside(b, elements):
+        if not regular(b):
             witness = Transformation(b)
             break
     if witness is None:

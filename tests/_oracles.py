@@ -1,15 +1,18 @@
 """Independent oracles for the test suite.
 
 These deliberately re-derive expected values with the dumbest possible code,
-sharing nothing with the library implementations they check.  The one
-exception is `scan_first_unsectioned`, the plain partition scan that the
-library's depth-first partition search replaced; it is built on the RGS
-enumerator and the section probe, which are checked against oracles of
-their own.
+sharing nothing with the library implementations they check.  The
+exceptions are the searches that depth-first ones in the library replaced,
+kept here as the reference those must agree with: `scan_first_unsectioned`,
+the plain partition scan, built on the library's RGS enumerator;
+`bfs_extension`, the breadth-first subpartition extension search; and
+`scan_regular_inside`, the scan of a whole semigroup for a regularity
+witness.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def s3_cayley_table() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
@@ -138,10 +141,58 @@ def scan_first_unsectioned(n: int, k: int, families: list[frozenset[int]]):
     family), or None when every family sections every partition.
     """
     from ut_lab.partitions import enumerate_kpartitions
-    from ut_lab.set_orbits import find_section
 
     for partition in enumerate_kpartitions(n, k):
         for i, family in enumerate(families):
-            if find_section(family, partition.blocks) is None:
+            if not _sectioned(family, partition.blocks):
                 return partition, i
     return None
+
+
+def _sectioned(masks, blocks) -> bool:
+    """Does some k-set mask meet every one of k disjoint point blocks?
+
+    Looks up the prod |B_i| candidate sections when they are no more than
+    the masks, and scans the masks otherwise.
+    """
+    bits = [[1 << (p - 1) for p in b] for b in blocks]
+    if math.prod(map(len, bits)) <= len(masks):
+        return any(sum(c) in masks for c in itertools.product(*bits))
+    block_masks = [sum(b) for b in bits]
+    return any(all(m & b for b in block_masks) for m in masks)
+
+
+def bfs_extension(masks, n: int, seed_blocks):
+    """Breadth-first subpartition extension search for one k-set orbit.
+
+    Places the unplaced points of {1..n} in ascending order, each into
+    every block in turn, and keeps the children no member of `masks`
+    sections.  Returns (the first full partition of the last level as a
+    block tuple, or None when a level empties; the frontier size per
+    level, seed level first).
+    """
+    placed = {p for b in seed_blocks for p in b}
+    start = tuple(tuple(b) for b in seed_blocks)
+    frontier = [] if _sectioned(masks, start) else [start]
+    profile = [len(frontier)]
+    for x in range(1, n + 1):
+        if not frontier:
+            break
+        if x in placed:
+            continue
+        frontier = [
+            child
+            for blocks in frontier
+            for i in range(len(blocks))
+            for child in [blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]]
+            if not _sectioned(masks, child)
+        ]
+        profile.append(len(frontier))
+    return (frontier[0] if frontier else None), profile
+
+
+def scan_regular_inside(b: tuple[int, ...], elements) -> bool:
+    """Is b c b = b for some c in `elements`?  Tries every element."""
+    # b c b == b iff every image point y of b returns to its own fiber
+    image = set(b)
+    return any(all(b[c[y - 1] - 1] == y for y in image) for c in elements)

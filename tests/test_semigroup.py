@@ -9,6 +9,8 @@ from ut_lab.perm_core import PermGroup, Permutation
 from ut_lab.semigroup import (
     QuasiPermutation,
     Transformation,
+    _closure_tuples,
+    _regularity_test,
     is_quasi_permutation,
     is_regular_in,
     is_regular_semigroup,
@@ -22,7 +24,7 @@ from ut_lab.semigroup import (
 from ut_lab.set_orbits import _orbit_masks, mask_of, orbit_of_set
 from ut_lab.ut_deciders import has_kut_naive
 
-from _oracles import brute_semigroup_closure, brute_set_orbit
+from _oracles import brute_semigroup_closure, brute_set_orbit, scan_regular_inside
 
 
 transformations6 = st.lists(
@@ -307,8 +309,6 @@ class TestMcAlisterConsistency:
     def test_same_rank_elements_regular(self):
         # when a is regular in <a, G>, every same-rank element of the closure
         # is regular there too
-        from ut_lab.semigroup import _closure_tuples, _regular_inside
-
         G = build_named("PGL(2,5)")
         a = Transformation.parse("1,1,2,3,4,5")
         assert is_regular_in(a, G).regular
@@ -316,6 +316,23 @@ class TestMcAlisterConsistency:
             _closure_tuples([g.images for g in G.generators] + [a.images], 60_000)
         )
         rank = a.rank
+        regular = _regularity_test(closure)
         for b in closure:
             if len(set(b)) == rank:
-                assert _regular_inside(b, closure)
+                assert regular(b)
+
+
+class TestRegularityTest:
+    def test_matches_scan(self):
+        # Seeded semigroups on three random maps of degree 6, 501-1241
+        # elements, each with non-regular elements.
+        for seed in range(5):
+            rng = random.Random(seed)
+            gens = [tuple(rng.randint(1, 6) for _ in range(6)) for _ in range(3)]
+            closure = sorted(_closure_tuples(gens, 3000))
+            regular = _regularity_test(closure)
+            answers = []
+            for b in closure:
+                answers.append(regular(b))
+                assert answers[-1] == scan_regular_inside(b, closure), (seed, b)
+            assert not all(answers), seed

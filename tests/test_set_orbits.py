@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 
@@ -9,7 +8,6 @@ from ut_lab import set_orbits
 from ut_lab.errors import CapExceeded
 from ut_lab.set_orbits import (
     as_kset,
-    find_section,
     is_ij_homogeneous,
     is_k_homogeneous,
     kset_of_mask,
@@ -139,57 +137,6 @@ class TestOrbitIndexOracle:
         assert (2, 1) in orbit and (5, 1) in orbit
         assert (1, 3) not in orbit
         assert (1, 1) not in orbit and (1, 2, 3) not in orbit
-
-
-class TestFindSection:
-    """The shared probe against a brute scan of the orbit's masks."""
-
-    @staticmethod
-    def _brute(masks, blocks):
-        return any(all(m & _mask(b) for b in blocks) for m in masks)
-
-    @staticmethod
-    def _random_blocks(rng, points, nblocks):
-        points = list(points)
-        rng.shuffle(points)
-        blocks = [[p] for p in points[:nblocks]]
-        for p in points[nblocks:]:
-            blocks[rng.randrange(nblocks)].append(p)
-        return [tuple(sorted(b)) for b in blocks]
-
-    # Full partitions, and partial ones with a singleton block {x}, as the
-    # extension search probes them when it places a new point x.  With k = 3
-    # and the AGL groups, a partial partition has fewer candidate sections
-    # than any orbit has members, so it never takes the scan side.
-    @pytest.mark.parametrize("name,degree,k,singleton_scans", [
-        ("D(2*7)", 7, 3, True), ("AGL(1,13)", 13, 3, False),
-        ("AGL(1,17)", 17, 3, False), ("AGL(1,17)", 17, 4, True),
-    ])
-    def test_partitions_both_sides(self, name, degree, k, singleton_scans):
-        rng = random.Random(1108 + degree)
-        sides = set()
-        for orbit in orbits_on_ksets(build_named(name, degree), k):
-            for _ in range(60):
-                full = self._random_blocks(rng, range(1, degree + 1), k)
-                x = rng.randint(1, degree)
-                placed = rng.sample([p for p in range(1, degree + 1) if p != x],
-                                    rng.randint(k - 1, degree - 1))
-                partial = [(x,)] + self._random_blocks(rng, placed, k - 1)
-                for form, blocks in (("full", full), ("singleton", partial)):
-                    sides.add((form, math.prod(map(len, blocks)) <= orbit.size))
-                    hit = find_section(orbit.masks, blocks)
-                    assert (hit is not None) == self._brute(orbit.masks, blocks)
-                    if hit is not None:
-                        assert hit in orbit.masks and self._brute([hit], blocks)
-        assert sides == {("full", True), ("full", False), ("singleton", True),
-                         ("singleton", not singleton_scans)}
-
-    def test_first_hit_in_scan_order(self):
-        # a parent map is scanned in insertion (BFS) order
-        masks = {_mask((1, 2)): None, _mask((3, 4)): None, _mask((1, 4)): None}
-        blocks = [(1, 3), (2, 4)]
-        assert find_section(masks, blocks) == _mask((1, 2))
-        assert find_section(dict(reversed(masks.items())), blocks) == _mask((1, 4))
 
 
 class TestKHomogeneous:

@@ -1,14 +1,18 @@
 import itertools
+import math
+import random
 
 import pytest
 
 from ut_lab.catalog import build_named
-from ut_lab.errors import BudgetExceeded
+from ut_lab.errors import BudgetExceeded, CapExceeded
 from ut_lab.partitions import SetPartition, SubPartition
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
 from ut_lab import set_orbits
-from ut_lab.set_orbits import KSetOrbit, orbit_of_set, orbits_on_ksets
+from ut_lab.set_orbits import KSetOrbit, mask_of, orbit_of_set, orbits_on_ksets
+from ut_lab.verify import catalog_groups
 from ut_lab.ut_deciders import (
+    _has_section,
     aux_graph,
     bad_partition_search_3ut,
     connectivity_prune,
@@ -22,7 +26,7 @@ from ut_lab.ut_deciders import (
     validate_ut_witness,
 )
 
-from _oracles import brute_orbit_universal, scan_first_unsectioned
+from _oracles import bfs_extension, brute_orbit_universal, scan_first_unsectioned
 
 
 class TestNaive:
@@ -202,6 +206,112 @@ class TestExtensionDecider:
         verdict = has_kut(G, 3, frontier_cap=1)
         assert verdict.holds is None
         assert verdict.status == "undecided"
+
+    def test_cap_bounds_one_level_of_the_depth_first_search(self):
+        # A breadth-first search holds 224 subpartitions at one level here
+        # and overran this cap; the depth-first one meets a witness first.
+        G = build_named("PSL(2,19)", 20)
+        verdict = has_kut(G, 4, method="extend", frontier_cap=200)
+        assert verdict.holds is False
+        assert validate_ut_witness(G, verdict.witness)
+        assert max(verdict.detail["frontier_profile"]) <= 200
+
+    def test_cap_raises_with_profile(self):
+        G = build_named("PSL(2,13)")
+        orbit = orbits_on_ksets(G, 3)[1]
+        seed = SubPartition.of([(1,), (2,), (3,)])
+        with pytest.raises(CapExceeded) as err:
+            subpartition_extension_decider(G, 3, orbit, seed, frontier_cap=1)
+        # The count passes the cap at the first node past it, so .partial
+        # is frontier_cap + 1 whatever the level's full size.
+        assert err.value.partial == 2
+        assert err.value.profile[-1] == 2
+
+    def test_psl_2_27_k4_witness(self):
+        # The verdict, seed and witness the breadth-first search returned,
+        # recorded once; its frontier reached 25,528 subpartitions.
+        G = build_named("PSL(2,27)", 28)
+        verdict = has_kut(G, 4, method="extend")
+        assert verdict.holds is False
+        assert verdict.detail["seed"] == (1, 2, 3, 4)
+        assert verdict.witness == UtWitness((1, 2, 3, 28), SetPartition.of([
+            (1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22,
+             23, 24, 25, 26, 27, 28),
+            (2, 20), (3,), (4,),
+        ]))
+
+
+class TestExtensionOracle:
+    def test_matches_breadth_first(self):
+        # Every (orbit, representative seed) pair of every catalog group of
+        # degree <= 14.  A holding seed meets the same subpartitions per level
+        # as the breadth-first search, whose frontier then empties after the
+        # same nodes.  On a failing seed the first surviving leaf is the
+        # breadth-first search's first; that is checked to degree 9, as above
+        # it the breadth-first frontiers of failing seeds take seconds.
+        # Every False is validated by the decider in any case.
+        fails = holds = 0
+        for G in catalog_groups(14):
+            n = G.degree
+            for k in range(3, (n + 1) // 2 + 1):
+                orbits = orbits_on_ksets(G, k)
+                for orbit, other in itertools.product(orbits, repeat=2):
+                    seed = SubPartition.of([(p,) for p in other.representative])
+                    verdict = subpartition_extension_decider(G, k, orbit, seed)
+                    key = (G.name, n, k, orbit.representative, other.representative)
+                    if verdict.holds:
+                        holds += 1
+                        first, profile = bfs_extension(orbit.masks, n, seed.blocks)
+                        assert first is None, key
+                        assert verdict.detail["frontier_profile"] == profile, key
+                    elif n <= 9:
+                        fails += 1
+                        first, _ = bfs_extension(orbit.masks, n, seed.blocks)
+                        assert verdict.holds is False, key
+                        assert verdict.witness.partition == SetPartition.of(first), key
+        assert fails > 200 and holds > 200
+
+
+class TestSectionProbe:
+    """The extension search's section probe against a brute scan of the orbit."""
+
+    @staticmethod
+    def _brute(masks, blocks):
+        return any(all(m & mask_of(b) for b in blocks) for m in masks)
+
+    @staticmethod
+    def _random_blocks(rng, points, nblocks):
+        points = list(points)
+        rng.shuffle(points)
+        blocks = [[p] for p in points[:nblocks]]
+        for p in points[nblocks:]:
+            blocks[rng.randrange(nblocks)].append(p)
+        return [tuple(sorted(b)) for b in blocks]
+
+    # Full partitions, and partial ones with a singleton block {x}, as the
+    # extension search probes them when it places a new point x.  With k = 3
+    # and the AGL groups, a partial partition has fewer candidate sections
+    # than any orbit has members, so it never takes the scan side.
+    @pytest.mark.parametrize("name,degree,k,singleton_scans", [
+        ("D(2*7)", 7, 3, True), ("AGL(1,13)", 13, 3, False),
+        ("AGL(1,17)", 17, 3, False), ("AGL(1,17)", 17, 4, True),
+    ])
+    def test_partitions_both_sides(self, name, degree, k, singleton_scans):
+        rng = random.Random(1108 + degree)
+        sides = set()
+        for orbit in orbits_on_ksets(build_named(name, degree), k):
+            for _ in range(60):
+                full = self._random_blocks(rng, range(1, degree + 1), k)
+                x = rng.randint(1, degree)
+                placed = rng.sample([p for p in range(1, degree + 1) if p != x],
+                                    rng.randint(k - 1, degree - 1))
+                partial = [(x,)] + self._random_blocks(rng, placed, k - 1)
+                for form, blocks in (("full", full), ("singleton", partial)):
+                    sides.add((form, math.prod(map(len, blocks)) <= orbit.size))
+                    bits = [[1 << (p - 1) for p in b] for b in blocks]
+                    assert _has_section(orbit.masks, bits) == self._brute(orbit.masks, blocks)
+        assert sides == {("full", True), ("full", False), ("singleton", True),
+                         ("singleton", not singleton_scans)}
 
 
 class TestHasKut:

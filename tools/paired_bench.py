@@ -10,13 +10,17 @@ Each pair runs ``perfbench/run.py`` once in each checkout, with the same
 workload, seed and run length (``run_seconds`` of the change checkout's
 ``BENCHMARK.json``), and alternates which checkout goes first, so a drift
 in the host's speed falls on both sides alike.  For every metric the
-script prints both sides' median and quartiles and the number of pairs the
-change won, and calls the metric a gain or a loss only when the change won
-(or lost) at least nine pairs in ten and the medians differ by more than
-the parent's interquartile range.  Only metrics both sides report are
-compared; the others are listed by name.  Whether higher or lower is better
-comes from the change checkout's ``BENCHMARK.json``.  Any run that does not
-report ``"correct": true`` stops the script with an error.  Runs are
+script prints both sides' median and quartiles, the relative change of the
+medians, and the number of pairs the change won.  It calls the metric a
+gain or a loss only when the change won (or lost) at least nine pairs in
+ten and the medians differ by more than the parent's interquartile range.
+For a metric with a ``bound`` in ``BENCHMARK.json`` it also says whether
+the relative change is past that bound, and in which direction: a loss by
+the pair rule can still lie inside the bound.  Only metrics both sides
+report are compared; the others are listed by name.  Whether higher or
+lower is better, and the bounds, come from the change checkout's
+``BENCHMARK.json``.  Any run that does not report ``"correct": true``
+stops the script with an error.  Runs are
 untraced; run ``perfbench/run.py --trace 1`` for per-layer figures.
 Standard library only; the benchmark is run as a subprocess and nothing of
 it is imported.
@@ -55,11 +59,24 @@ def run_once(checkout: Path, args, seconds: float) -> dict[str, float]:
     return {name: m["value"] for name, m in report["metrics"].items()}
 
 
-def benchmark_spec(checkout: Path) -> tuple[float, dict[str, str]]:
-    """The run length and each metric's better direction."""
+def benchmark_spec(checkout: Path) -> tuple[float, dict[str, str], dict[str, float]]:
+    """The run length, each metric's better direction and the bounds."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    return spec["run_seconds"], better
+    metrics = spec["end_to_end"] + spec["per_layer"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+    return spec["run_seconds"], better, bounds
+
+
+def bound_note(rel: float | None, sign: int, bound: float | None) -> str:
+    """Whether a relative change of the medians is past the metric's bound."""
+    if bound is None:
+        return ""
+    if rel is None:
+        return f"bound {bound:g}: parent median is 0"
+    if abs(rel) <= bound:
+        return f"inside bound {bound:g}"
+    return f"past bound {bound:g}, {'better' if sign * rel > 0 else 'worse'}"
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -71,7 +88,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    seconds, better = benchmark_spec(args.change)
+    seconds, better, bounds = benchmark_spec(args.change)
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -85,7 +102,7 @@ def main(argv=None) -> int:
         if missing:
             print(f"not reported by the {side}, not compared: {', '.join(sorted(missing))}")
     print(f"{'metric':44} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
-          f"{'wins':>6}  verdict")
+          f"{'change':>8} {'wins':>6}  verdict  bound")
     for name in (n for n in new_names if n in old_names):
         sign = 1 if better.get(name, "lower") == "higher" else -1
         old = [r[name] for r in runs["parent"]]
@@ -100,9 +117,11 @@ def main(argv=None) -> int:
             verdict = "loss"
         else:
             verdict = "-"
+        rel = (nmed - omed) / abs(omed) if omed else None
         print(f"{name:44} {omed:10.4g} [{oq1:.4g}, {oq3:.4g}]".ljust(73)
               + f" {nmed:10.4g} [{nq1:.4g}, {nq3:.4g}]".ljust(29)
-              + f" {wins:>3}/{args.pairs:<3} {verdict}")
+              + (f" {rel:+8.1%}" if rel is not None else f" {'n/a':>8}")
+              + f" {wins:>3}/{args.pairs:<3} {verdict:7}  {bound_note(rel, sign, bounds.get(name))}")
     return 0
 
 
