@@ -9,6 +9,7 @@ directory.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -525,9 +526,19 @@ def catalog_manifest() -> list[GroupSpec]:
     return specs
 
 
+@functools.cache
+def _specs_by_name() -> dict[str, tuple[GroupSpec, ...]]:
+    """The manifest indexed by name, built once.  The manifest reads no data
+    directory (only `build` of a stored group does), so it never goes stale."""
+    index: dict[str, list[GroupSpec]] = {}
+    for spec in catalog_manifest():
+        index.setdefault(spec.name, []).append(spec)
+    return {name: tuple(specs) for name, specs in index.items()}
+
+
 def find_spec(name: str, degree: int | None = None) -> GroupSpec:
     """Look up a manifest entry by name, disambiguated by degree if needed."""
-    matches = [s for s in catalog_manifest() if s.name == name]
+    matches = list(_specs_by_name().get(name, ()))
     if degree is not None:
         matches = [s for s in matches if s.degree == degree]
     if not matches:

@@ -4,15 +4,17 @@ Points are 1-based: a permutation of degree n acts on {1..n}.  Composition is
 left to right, so (p * q) sends i to q(p(i)), and orbit code applies
 generators on the right throughout.
 
-Group order uses a deterministic Schreier-Sims stabilizer chain whose base is
-chosen as the smallest moved point at each level, so recomputation always
-yields the same chain and the same transversal words.
+Group order and membership use a stabilizer chain built by incremental
+deterministic Schreier-Sims.  Each new level's base point is the smallest
+point its first generator moves, and nothing is random, so recomputation
+always yields the same base, the same basic orbits and the same order.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch, NotTransitiveError
@@ -139,103 +141,142 @@ def invert(p: Permutation) -> Permutation:
 
 # ---------------------------------------------------------------------------
 # Deterministic Schreier-Sims stabilizer chain
+#
+# Inside the chain points are 0-based and a permutation is the tuple of its
+# images, so the left-to-right product p * q is itemgetter(*p)(q), one C-level
+# pass, and the identity test is a tuple comparison.  (itemgetter of a single
+# index returns an item, not a tuple; a chain has levels only from degree 2.)
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit")
+    """One level: a base point, the strong generators fixing every shallower
+    base point, and the basic orbit with the inverses of its transversal.
 
-    def __init__(self, base: int):
+    The orbit only grows, in discovery order, and a transversal element once
+    set never changes.  Three fields serve only the build and are dropped
+    when the chain is complete: `transversal` (u_p sends the base point to
+    p), `gen_inverses` (as itemgetters), and `edge`, the point and generator
+    index that first reached each point, whose Schreier generator is the
+    identity.
+    """
+
+    __slots__ = ("base", "gens", "orbit", "inverses", "transversal", "gen_inverses", "edge")
+
+    def __init__(self, base: int, identity: Images):
+        n = len(identity)
         self.base = base
         self.gens: list[Images] = []
-        self.orbit: dict[int, Images] = {}
+        self.orbit = [base]
+        self.inverses: list[Images | None] = [None] * n
+        self.inverses[base] = identity
+        self.transversal: list[Images | None] = [None] * n
+        self.transversal[base] = identity
+        self.gen_inverses: list[itemgetter] = []
+        self.edge: list[tuple[int, int] | None] = [None] * n
+
+    def extend(self, new_gens: Sequence[Images]) -> None:
+        """Add generators and grow the orbit: the new generators are applied
+        to the points already reached, then a BFS runs from the new points."""
+        first = len(self.gens)
+        for g in new_gens:
+            inv = [0] * len(g)
+            for i, x in enumerate(g):
+                inv[x] = i
+            self.gens.append(g)
+            self.gen_inverses.append(itemgetter(*inv))
+        orbit = self.orbit
+        old = len(orbit)
+        for p in orbit[:old]:
+            for j in range(first, len(self.gens)):
+                self._reach(p, j)
+        idx = old
+        while idx < len(orbit):
+            for j in range(len(self.gens)):
+                self._reach(orbit[idx], j)
+            idx += 1
+
+    def _reach(self, p: int, j: int) -> None:
+        g = self.gens[j]
+        q = g[p]
+        if self.transversal[q] is not None:
+            return
+        self.orbit.append(q)
+        self.transversal[q] = itemgetter(*self.transversal[p])(g)
+        # (u_p g)^-1 = g^-1 u_p^-1
+        self.inverses[q] = self.gen_inverses[j](self.inverses[p])
+        self.edge[q] = (p, j)
 
 
 class _StabChain:
-    """Stabilizer chain: level i holds generators fixing all shallower bases.
+    """Stabilizer chain by incremental deterministic Schreier-Sims.
 
-    A sift residue stopping at level j is registered at every level from the
-    scan level + 1 down to j, which keeps each level's generator list inside
-    the group generated by every shallower list.
+    The levels are scanned once each, shallowest first.  Scanning level i
+    sifts each of its Schreier generators u_p s u_{ps}^-1 once, through the
+    levels below, and adds a residue other than the identity to every level
+    from i + 1 down to the level it stopped at (a new level when it passed
+    them all).  Level i never changes after its scan, since residues only go
+    deeper, and a Schreier generator that once lies in the next level's
+    group stays there, since that group only grows; so when the last level
+    is scanned, every level's point stabilizer is generated by the next
+    level and the chain is complete (Seress, Permutation Group Algorithms,
+    4.2; Holt-Eick-O'Brien, Handbook of CGT, 4.4).  Nothing is random: the
+    base, the basic orbits and the order come out the same on every run.
     """
 
     def __init__(self, degree: int, gens: Sequence[Images]):
         self.degree = degree
-        self.identity = _identity_images(degree)
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
-        todo = [g for g in dict.fromkeys(gens) if not _is_identity(g)]
+        todo = [tuple(x - 1 for x in g) for g in dict.fromkeys(gens)]
+        todo = [g for g in todo if g != self.identity]
         if todo:
-            self._construct(todo)
+            self._new_level(todo)
+        for i, level in enumerate(self.levels):  # the loop sees levels added on the way
+            self._scan(i)
+            level.transversal = level.gen_inverses = level.edge = None
 
-    def _smallest_moved(self, g: Images) -> int:
-        for i, x in enumerate(g):
-            if x != i + 1:
-                return i + 1
-        raise AssertionError("identity has no moved point")
+    def _new_level(self, gens: Sequence[Images]) -> None:
+        base = min(next(i for i, x in enumerate(g) if x != i) for g in gens)
+        level = _Level(base, self.identity)
+        level.extend(gens)
+        self.levels.append(level)
 
-    def _rebuild_orbit(self, level: _Level) -> None:
-        orbit = {level.base: self.identity}
-        queue = deque([level.base])
-        while queue:
-            p = queue.popleft()
-            u = orbit[p]
-            for g in level.gens:
-                q = g[p - 1]
-                if q not in orbit:
-                    orbit[q] = _mult(u, g)
-                    queue.append(q)
-        level.orbit = orbit
+    def _strip(self, h: Images, start: int) -> tuple[Images, int]:
+        """Sift h from level `start`: the residue, and the level it stopped at
+        (len(levels) when it passed every level)."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            level = levels[i]
+            img = h[level.base]
+            if img != level.base:
+                inv = level.inverses[img]
+                if inv is None:
+                    return h, i
+                h = itemgetter(*h)(inv)
+        return h, len(levels)
 
-    def _strip(self, g: Images, start: int) -> tuple[Images, int]:
-        h = g
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            img = h[level.base - 1]
-            if img not in level.orbit:
-                return h, i
-            h = _mult(h, _inv(level.orbit[img]))
-            if _is_identity(h):
-                return h, i + 1
-        return h, len(self.levels)
-
-    def _insert(self, residue: Images, start: int, stop: int) -> None:
-        if stop == len(self.levels):
-            self.levels.append(_Level(self._smallest_moved(residue)))
-        for lvl in range(start, stop + 1):
-            level = self.levels[lvl]
-            if residue not in level.gens:
-                level.gens.append(residue)
-                self._rebuild_orbit(level)
-
-    def _scan_level(self, i: int) -> bool:
-        """Sift level i's Schreier generators; True when all strip to identity."""
+    def _scan(self, i: int) -> None:
+        """Sift every Schreier generator of level i and add the residues."""
         level = self.levels[i]
-        clean = True
-        for p in list(level.orbit):
-            u = level.orbit[p]
-            for s in level.gens:
-                sg = _mult(_mult(u, s), _inv(level.orbit[s[p - 1]]))
-                if _is_identity(sg):
+        edge, inverses = level.edge, level.inverses
+        for p in level.orbit:
+            times_u = itemgetter(*level.transversal[p])
+            for j, s in enumerate(level.gens):
+                q = s[p]
+                if edge[q] == (p, j):
                     continue
-                residue, stop = self._strip(sg, i + 1)
-                if not _is_identity(residue):
-                    self._insert(residue, i + 1, stop)
-                    clean = False
-        return clean
-
-    def _construct(self, gens: list[Images]) -> None:
-        base0 = min(self._smallest_moved(g) for g in gens)
-        level0 = _Level(base0)
-        level0.gens = list(gens)
-        self.levels = [level0]
-        self._rebuild_orbit(level0)
-        dirty = {0}
-        while dirty:
-            i = min(dirty)
-            dirty.discard(i)
-            if i >= len(self.levels):
-                continue
-            if not self._scan_level(i):
-                dirty.update(range(i, len(self.levels)))
+                h = itemgetter(*times_u(s))(inverses[q])
+                if h == self.identity:
+                    continue
+                residue, stop = self._strip(h, i + 1)
+                if residue == self.identity:
+                    continue
+                if stop == len(self.levels):
+                    self._new_level([residue])
+                else:
+                    self.levels[stop].extend([residue])
+                for deeper in self.levels[i + 1:stop]:
+                    deeper.extend([residue])
 
     def order(self) -> int:
         out = 1
@@ -244,7 +285,7 @@ class _StabChain:
         return out
 
     def base(self) -> tuple[int, ...]:
-        return tuple(level.base for level in self.levels)
+        return tuple(level.base + 1 for level in self.levels)
 
     def basic_orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(level.orbit) for level in self.levels)
@@ -252,8 +293,8 @@ class _StabChain:
     def contains(self, images: Images) -> bool:
         if len(images) != self.degree:
             return False
-        residue, _ = self._strip(images, 0)
-        return _is_identity(residue)
+        residue, _ = self._strip(tuple(x - 1 for x in images), 0)
+        return residue == self.identity
 
 
 # ---------------------------------------------------------------------------

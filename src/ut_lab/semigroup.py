@@ -241,11 +241,16 @@ def regular_in_closure(
 ) -> bool:
     """Brute-force regularity of a inside <a, G> by closure search.
 
-    Streams the closure and stops at the first c with a c a = a; exhausts the
-    closure (up to `cap`) before answering False.
+    Streams the closure, multiplying by a generator on either side, and
+    stops at the first c with a c a = a.  Such a c has rank at least
+    rank(a), and so has every contiguous subword of a word for c, so the
+    products of lower rank are never extended: every candidate is still
+    reached one generator at a time.  Searches all the rest (up to `cap`
+    distinct products) before answering False.
     """
     raw = [g.images for g in G.generators] + [a.images]
     target = a.images
+    rank = a.rank
 
     def is_witness(c: tuple[int, ...]) -> bool:
         return _t_mult(_t_mult(target, c), target) == target
@@ -263,6 +268,8 @@ def regular_in_closure(
                     if len(seen) >= cap:
                         raise CapExceeded("closure cap exceeded", len(seen))
                     seen.add(prod)
+                    if len(set(prod)) < rank:
+                        continue
                     if is_witness(prod):
                         return True
                     queue.append(prod)

@@ -532,7 +532,23 @@ def subpartition_extension_decider(
         raise ValueError("orbit must consist of k-sets")
     if any(p > n for p in seed.support):
         raise ValueError("seed places a point outside the domain")
-    masks = orbit.masks
+    partition, profile = _extension_search(orbit.masks, n, seed, frontier_cap)
+    if partition is not None:
+        return _checked_failure(
+            G, orbit.representative, partition, "extension",
+            {"frontier_profile": profile},
+        )
+    return UtVerdict(True, "extension", detail={"frontier_profile": profile})
+
+
+def _extension_search(
+    masks: frozenset[int], n: int, seed: SubPartition, frontier_cap: int
+) -> tuple[SetPartition | None, list[int]]:
+    """The search behind `subpartition_extension_decider`, unchecked.
+
+    Returns the first surviving full partition, or None when the orbit
+    sections every completion of the seed, and the frontier profile.
+    """
     placed = seed.support
     remaining = [1 << (p - 1) for p in range(1, n + 1) if p not in placed]
     # Each block as a list of one-bit masks, changed in place as points are
@@ -566,14 +582,8 @@ def subpartition_extension_decider(
         return False
 
     if not _has_section(masks, bits) and survives(0):
-        partition = SetPartition.of(kset_of_mask(sum(b)) for b in bits)
-        return _checked_failure(
-            G, orbit.representative, partition, "extension",
-            {"frontier_profile": profile},
-        )
-    reached = [count for count in profile if count]
-    return UtVerdict(True, "extension",
-                     detail={"frontier_profile": reached + [0]})
+        return SetPartition.of(kset_of_mask(sum(b)) for b in bits), profile
+    return None, [count for count in profile if count] + [0]
 
 
 def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
@@ -590,6 +600,20 @@ def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
     return any(all(map(m.__and__, rest)) for m in masks if m & first)
 
 
+def _extension_seeds(orbit: KSetOrbit, reps: list[KSet]):
+    """(rep, seed) for every seed the extension search needs for one orbit.
+
+    Every k-partition is equivalent under G to one whose blocks separate some
+    orbit representative (pick a section of the partition and map it to its
+    orbit representative), so seeding with each representative in singleton
+    blocks covers all partitions.  The orbit's own representative seed is
+    trivially sectioned by it and is left out.
+    """
+    for rep in reps:
+        if mask_of(rep) not in orbit.masks:
+            yield rep, SubPartition.of([(p,) for p in rep])
+
+
 def _extension_universal(
     G: PermGroup,
     k: int,
@@ -597,19 +621,10 @@ def _extension_universal(
     reps: list[KSet],
     frontier_cap: int,
 ) -> UtVerdict:
-    """Run the extension decider for one orbit against every seed placement.
-
-    Every k-partition is equivalent under G to one whose blocks separate some
-    orbit representative (pick a section of the partition and map it to its
-    orbit representative), so seeding with each representative in singleton
-    blocks covers all partitions.  The orbit's own representative seed is
-    trivially sectioned by it.
-    """
+    """Run the extension decider for one orbit against every seed placement;
+    a failure carries its validated witness."""
     profiles = {}
-    for rep in reps:
-        if mask_of(rep) in orbit.masks:
-            continue
-        seed = SubPartition.of([(p,) for p in rep])
+    for rep, seed in _extension_seeds(orbit, reps):
         verdict = subpartition_extension_decider(G, k, orbit, seed, frontier_cap)
         profiles[str(rep)] = verdict.detail.get("frontier_profile")
         if verdict.holds is False:
@@ -711,7 +726,8 @@ def has_weak_kut(
     """Does some single k-set orbit section every k-partition?
 
     Returns (True, lex-least universal representative), (False, None), or
-    (None, None) when the budget ran out.
+    (None, None) when the budget ran out.  No witness is returned, so the
+    partitions an orbit misses are dropped unchecked.
     """
     n = G.degree
     if not 2 <= k < n:
@@ -721,11 +737,14 @@ def has_weak_kut(
     undecided = False
     for orbit in orbits:
         try:
-            verdict = _extension_universal(G, k, orbit, reps, frontier_cap)
+            universal = all(
+                _extension_search(orbit.masks, n, seed, frontier_cap)[0] is None
+                for _, seed in _extension_seeds(orbit, reps)
+            )
         except CapExceeded:
             undecided = True
             continue
-        if verdict.holds:
+        if universal:
             return True, orbit.representative
     return (None, None) if undecided else (False, None)
 

@@ -2,12 +2,14 @@
 
 These deliberately re-derive expected values with the dumbest possible code,
 sharing nothing with the library implementations they check.  The
-exceptions are the searches that depth-first ones in the library replaced,
-kept here as the reference those must agree with: `scan_first_unsectioned`,
+exceptions are the slower searches that the library replaced, kept here as
+the reference the replacements must agree with: `scan_first_unsectioned`,
 the plain partition scan, built on the library's RGS enumerator;
-`bfs_extension`, the breadth-first subpartition extension search; and
+`bfs_extension`, the breadth-first subpartition extension search;
 `scan_regular_inside`, the scan of a whole semigroup for a regularity
-witness.
+witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
+Schreier generator of a dirty level; and `closure_regular_unpruned`, the
+closure search for a regularity witness through products of every rank.
 """
 from __future__ import annotations
 
@@ -196,3 +198,134 @@ def scan_regular_inside(b: tuple[int, ...], elements) -> bool:
     # b c b == b iff every image point y of b returns to its own fiber
     image = set(b)
     return any(all(b[c[y - 1] - 1] == y for y in image) for c in elements)
+
+
+class RescanStabChain:
+    """Deterministic Schreier-Sims by full rescans, on 1-based images.
+
+    Every pass over a dirty level re-sifts all of its Schreier generators,
+    already sifted ones included, and every new generator rebuilds the
+    level's whole orbit.  A sift residue stopping at level j is registered
+    at every level from the scan level + 1 down to j.  Only `order()`,
+    `base()` and `basic_orbit_sizes()` are offered.
+    """
+
+    def __init__(self, degree: int, gens):
+        self.identity = tuple(range(1, degree + 1))
+        self.levels: list[dict] = []
+        todo = [g for g in dict.fromkeys(gens) if g != self.identity]
+        if todo:
+            self._construct(todo)
+
+    @staticmethod
+    def _mult(p, q):
+        return tuple(q[x - 1] for x in p)
+
+    @staticmethod
+    def _inv(p):
+        out = [0] * len(p)
+        for i, x in enumerate(p):
+            out[x - 1] = i + 1
+        return tuple(out)
+
+    @staticmethod
+    def _smallest_moved(g) -> int:
+        return next(i + 1 for i, x in enumerate(g) if x != i + 1)
+
+    def _new_level(self, base: int, gens) -> dict:
+        return {"base": base, "gens": list(gens), "orbit": {}}
+
+    def _rebuild_orbit(self, level: dict) -> None:
+        orbit = {level["base"]: self.identity}
+        queue = [level["base"]]
+        for p in queue:
+            u = orbit[p]
+            for g in level["gens"]:
+                q = g[p - 1]
+                if q not in orbit:
+                    orbit[q] = self._mult(u, g)
+                    queue.append(q)
+        level["orbit"] = orbit
+
+    def _strip(self, g, start: int):
+        h = g
+        for i in range(start, len(self.levels)):
+            level = self.levels[i]
+            img = h[level["base"] - 1]
+            if img not in level["orbit"]:
+                return h, i
+            h = self._mult(h, self._inv(level["orbit"][img]))
+            if h == self.identity:
+                return h, i + 1
+        return h, len(self.levels)
+
+    def _insert(self, residue, start: int, stop: int) -> None:
+        if stop == len(self.levels):
+            self.levels.append(self._new_level(self._smallest_moved(residue), []))
+        for lvl in range(start, stop + 1):
+            level = self.levels[lvl]
+            if residue not in level["gens"]:
+                level["gens"].append(residue)
+                self._rebuild_orbit(level)
+
+    def _scan_level(self, i: int) -> bool:
+        level = self.levels[i]
+        clean = True
+        for p in list(level["orbit"]):
+            u = level["orbit"][p]
+            for s in level["gens"]:
+                sg = self._mult(self._mult(u, s), self._inv(level["orbit"][s[p - 1]]))
+                if sg == self.identity:
+                    continue
+                residue, stop = self._strip(sg, i + 1)
+                if residue != self.identity:
+                    self._insert(residue, i + 1, stop)
+                    clean = False
+        return clean
+
+    def _construct(self, gens) -> None:
+        base0 = min(self._smallest_moved(g) for g in gens)
+        level0 = self._new_level(base0, gens)
+        self.levels = [level0]
+        self._rebuild_orbit(level0)
+        dirty = {0}
+        while dirty:
+            i = min(dirty)
+            dirty.discard(i)
+            if i >= len(self.levels):
+                continue
+            if not self._scan_level(i):
+                dirty.update(range(i, len(self.levels)))
+
+    def order(self) -> int:
+        return math.prod(len(level["orbit"]) for level in self.levels)
+
+    def base(self) -> tuple[int, ...]:
+        return tuple(level["base"] for level in self.levels)
+
+    def basic_orbit_sizes(self) -> tuple[int, ...]:
+        return tuple(len(level["orbit"]) for level in self.levels)
+
+
+def closure_regular_unpruned(a: tuple[int, ...], gens) -> bool:
+    """Is a c a = a for some c in the semigroup <a, gens>?  Walks the whole
+    closure, products of every rank, until a witness turns up."""
+    raw = list(gens) + [a]
+
+    def mult(x, y):
+        return tuple(y[i - 1] for i in x)
+
+    seen = set(raw)
+    frontier = list(raw)
+    while frontier:
+        for c in frontier:
+            if mult(mult(a, c), a) == a:
+                return True
+        frontier = [
+            prod
+            for t in frontier
+            for g in raw
+            for prod in (mult(t, g), mult(g, t))
+            if prod not in seen and not seen.add(prod)
+        ]
+    return False

@@ -73,6 +73,15 @@ class TestManifest:
             assert transitivity_degree(G) >= spec.min_transitivity, spec.key
         assert set(missing) <= {"HS@176", "Co3@276"}
 
+    def test_index_agrees_with_manifest_and_survives_mutation(self):
+        manifest = catalog_manifest()
+        assert catalog_manifest() is not manifest
+        for spec in manifest:
+            assert find_spec(spec.name, spec.degree) == spec
+        manifest.clear()  # callers own the list they get
+        assert find_spec("M11", 12).degree == 12
+        assert len(catalog_manifest()) > 100
+
     def test_ambiguity_needs_degree(self):
         with pytest.raises(KeyError):
             find_spec("M11")

@@ -33,7 +33,8 @@ def test_every_wrapped_name_resolves(lib):
     originals = [(owner, attr, getattr(owner, attr)) for owner, attr, *_ in tracer.wraps()]
     names = {name for _, _, name, *_ in tracer.wraps()}
     assert {"set_orbits.orbit_of_set", "set_orbits.orbit_bfs",
-            "set_orbits.is_ij_homogeneous", "num_theory.subgroup_order"} <= names
+            "set_orbits.is_ij_homogeneous", "num_theory.subgroup_order",
+            "perm_core.chain"} <= names
     tracer.install()
     try:
         for owner, attr, original in originals:
@@ -61,6 +62,21 @@ def test_traced_decision_counts_cache_hits(lib):
     assert values["ut_deciders.validate_ut_witness.calls"] == 1
     assert values["set_orbits.orbit_of_set.calls"] == 1
     assert values["set_orbits.orbit_bfs.masks"] > 0
+
+
+def test_traced_build_records_one_chain(lib):
+    """The chain span times `_StabChain.__init__`; a build that made its
+    chain anywhere else would read as zero chain time."""
+    tracer = _load("spans").Tracer(lib)
+    tracer.install()
+    try:
+        G = lib.catalog.build_named("M11", 12)
+        assert G.order == 7920
+    finally:
+        tracer.remove()
+    values = tracer.values()
+    assert values["catalog.build.calls"] == 1
+    assert values["perm_core.chain.calls"] == 1
 
 
 def test_orbit_cache_shape(lib):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from ut_lab.perm_core import (
     compose,
     elements_bfs,
     group_order,
+    MAX_DEGREE,
+    _StabChain,
     invert,
     is_primitive,
     is_transitive,
@@ -18,7 +22,9 @@ from ut_lab.perm_core import (
     transitivity_degree,
 )
 
-from _oracles import s3_cayley_table
+from ut_lab.verify import catalog_groups
+
+from _oracles import RescanStabChain, s3_cayley_table
 
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -123,6 +129,56 @@ class TestGroupOrder:
             assert G.contains(g)
         H = build_named("PGL(2,7)")
         assert any(not G.contains(h) for h in H.generators)
+
+    def test_contains_agrees_with_bfs(self):
+        # every element of each group, and a seeded sample of S_n, most of
+        # it outside the group; degree <= 12 keeps the closures quick
+        rng = random.Random(1108)
+        checked = 0
+        for G in catalog_groups(12):
+            if G.order > 100_000:
+                continue
+            elements = elements_bfs(G)
+            assert all(G.contains(g) for g in elements), G.name
+            points = list(range(1, G.degree + 1))
+            for _ in range(200):
+                rng.shuffle(points)
+                p = Permutation(tuple(points))
+                assert G.contains(p) == (p in elements), (G.name, p)
+            checked += 1
+        assert checked > 50
+
+
+class TestChainOracle:
+    @pytest.fixture(scope="class")
+    def every_group(self):
+        return catalog_groups(MAX_DEGREE, include_optional=True)
+
+    def test_agrees_with_rescan_chain(self, every_group):
+        for G in every_group:
+            gens = G.gen_images()
+            chain = _StabChain(G.degree, gens)
+            oracle = RescanStabChain(G.degree, gens)
+            assert chain.order() == oracle.order() == G.order, G.name
+            assert chain.basic_orbit_sizes() == oracle.basic_orbit_sizes(), G.name
+        assert any(G.degree == 176 for G in every_group)  # HS is bundled
+
+    def test_base_is_reproducible(self, every_group):
+        for G in every_group:
+            first = _StabChain(G.degree, G.gen_images())
+            again = _StabChain(G.degree, G.gen_images())
+            assert first.base() == again.base(), G.name
+            assert first.basic_orbit_sizes() == again.basic_orbit_sizes(), G.name
+
+    def test_trivial_group_has_no_levels(self):
+        chain = _StabChain(3, [(1, 2, 3)])
+        assert chain.order() == 1 and chain.base() == ()
+        assert chain.contains((1, 2, 3)) and not chain.contains((2, 1, 3))
+
+    def test_build_state_is_dropped(self):
+        chain = build_named("M11", 12).chain
+        for level in chain.levels:
+            assert level.transversal is level.gen_inverses is level.edge is None
 
 
 class TestTransitivity:

@@ -24,7 +24,12 @@ from ut_lab.semigroup import (
 from ut_lab.set_orbits import _orbit_masks, mask_of, orbit_of_set
 from ut_lab.ut_deciders import has_kut_naive
 
-from _oracles import brute_semigroup_closure, brute_set_orbit, scan_regular_inside
+from _oracles import (
+    brute_semigroup_closure,
+    brute_set_orbit,
+    closure_regular_unpruned,
+    scan_regular_inside,
+)
 
 
 transformations6 = st.lists(
@@ -190,6 +195,21 @@ class TestEarlyStoppingBfs:
                 assert regular == regular_in_closure(a, G), (G, a)
                 answers |= 1 << regular
         assert planted >= 4 and answers == 0b11
+
+    def test_closure_search_pruning_agrees_with_unpruned(self):
+        # regular_in_closure never extends a product of rank below rank(a)
+        groups = [build_named(name) for name in ("C4", "D(2*4)", "A4", "C5", "AGL(1,5)", "C6")]
+        groups.append(PermGroup.from_gens([Permutation((2, 1, 4, 5, 3, 6))]))
+        rng = random.Random(97)
+        answers = 0
+        for G in groups:
+            n = G.degree
+            for _ in range(25):
+                a = Transformation(tuple(rng.randint(1, n) for _ in range(n)))
+                regular = regular_in_closure(a, G)
+                assert regular == closure_regular_unpruned(a.images, G.gen_images()), (G, a)
+                answers |= 1 << regular
+        assert answers == 0b11
 
 
 class TestClosure:
