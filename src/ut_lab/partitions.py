@@ -12,8 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
+from .errors import CapExceeded
+
 
 Block = tuple[int, ...]
+
+FRONTIER_CAP = 10**7
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
@@ -174,74 +178,130 @@ def enumerate_kpartitions(n: int, k: int) -> Iterator[SetPartition]:
 
 
 def first_unsectioned(
-    n: int, k: int, families: Sequence[Collection[int]]
-) -> tuple[SetPartition, int] | None:
-    """The first k-partition of {1..n}, in RGS order, that some family does
-    not section, and the index of the first such family; None if every
-    family has a section of every k-partition.
+    n: int,
+    k: int,
+    families: Sequence[Collection[int]],
+    seed: SubPartition | None = None,
+    frontier_cap: int = FRONTIER_CAP,
+) -> tuple[SetPartition | None, int | None, list[int]]:
+    """The first k-partition of {1..n} that some family does not section.
 
-    A family is any collection of k-set masks (bit p-1 set iff point p is in
-    the set), such as the members of one k-set orbit.  A k-set meets k
-    disjoint blocks iff it is a section of them, and whether it meets every
-    block of a partition is settled once its highest point is placed.  So
-    the search places points 1..n depth-first in restricted-growth order,
-    and once all k blocks are open it tests, for each family not yet
-    sectioned on the current path, only the members whose highest point was
-    just placed.  A subtree in which every family already has a section is
-    skipped, and a family holding all C(n, k) k-sets, which sections every
-    partition, is never tested.  Leaves come in the order of
-    `enumerate_kpartitions`, so the answer is that of scanning every
-    partition against every family.
+    A family is a collection of k-set masks (bit p-1 set iff point p is in
+    the set), such as one k-set orbit.  The unplaced points go in ascending
+    order, depth first.  Without a seed the blocks open in restricted-growth
+    order, so leaves come in the order of `enumerate_kpartitions`; with one,
+    only completions of its k blocks are searched, each point trying blocks
+    0..k-1 in turn.  Once all k blocks are open, each family with no section
+    yet is probed for one through the point just placed, and a subtree in
+    which every family has one is skipped.  A family holding all C(n, k)
+    k-sets is never probed.
+
+    Returns the first leaf some family misses, the index of the first such
+    family, and the profile: the nodes met per level that some family has
+    no section of, the root's level first.  With no such leaf, it returns
+    None, None and the profile up to its first empty level.  More than
+    `frontier_cap` nodes at one level raises CapExceeded at once, with
+    `.partial` frontier_cap + 1 and `.profile` the profile so far.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    all_ksets = math.comb(n, k)
-    tested = 0  # bit i set iff family i is tested
-    # by_top[p]: (family index, its members whose highest point is p)
-    by_top: list[list[tuple[int, set[int]]]] = [[] for _ in range(n + 1)]
-    for i, family in enumerate(families):
-        groups: dict[int, set[int]] = {}
-        for m in family:
-            groups.setdefault(m.bit_length(), set()).add(m)
-        if sum(map(len, groups.values())) == all_ksets:
-            continue
-        tested |= 1 << i
-        for top, members in groups.items():
-            by_top[top].append((i, members))
-    masks = [0] * k  # block j as a mask
+    blocks = ((),) * k if seed is None else seed.blocks
+    if len(blocks) != k:
+        raise ValueError(f"seed must have exactly k={k} blocks")
+    placed = {p for b in blocks for p in b}
+    if max(placed, default=0) > n:
+        raise ValueError("seed places a point outside the domain")
+    # Each block as a list of one-bit masks, changed in place as points are
+    # placed and taken back.
+    bits = [[1 << (p - 1) for p in b] for b in blocks]
+    rest = [1 << (p - 1) for p in range(1, n + 1) if p not in placed]
+    last = len(rest)
+    families = [frozenset(f) for f in families]
+    live = [
+        masks for masks in families
+        if len(masks) < math.comb(n, k) and not (seed is not None and _has_section(masks, bits))
+    ]
+    # A search for one family skips building lists of families.
+    lone = len(live) == 1
+    profile = [0] * (last + 1)
 
-    def place(p: int, opened: int, unsectioned: int) -> int | None:
-        # Points 1..p-1 are placed in `opened` blocks; try point p in each
-        # block, existing ones only while the remaining points can still
-        # open the blocks that are missing.  Returns the unsectioned
-        # families of the first failing leaf below, or None.
-        bit = 1 << (p - 1)
-        first = 0 if n - p >= k - opened else opened
-        for v in range(first, min(opened, k - 1) + 1):
-            masks[v] |= bit
-            now_open = opened + (v == opened)
-            left = unsectioned
-            if now_open == k:
-                for i, members in by_top[p]:
-                    if left >> i & 1:
-                        for m in members:
-                            if all(map(m.__and__, masks)):
-                                left ^= 1 << i
-                                break
-            if left:
-                found = left if p == n else place(p + 1, now_open, left)
-                if found is not None:
-                    return found
-            masks[v] ^= bit
+    def overflow(depth: int) -> CapExceeded:
+        err = CapExceeded("partition search frontier cap exceeded", profile[depth])
+        err.profile = profile[:depth + 1]  # type: ignore[attr-defined]
+        return err
+
+    # Both return the families in `live` that miss the first leaf below,
+    # which is left in `bits`, or None.
+    def open_blocks(depth: int, opened: int) -> list[frozenset[int]] | None:
+        # Fewer than k blocks are open, so no family has a section yet.
+        profile[depth] += 1
+        if profile[depth] > frontier_cap:
+            raise overflow(depth)
+        x = rest[depth]
+        # Existing blocks only while the points left can open the rest.
+        for v in range(0 if last - depth > k - opened else opened, opened + 1):
+            block = bits[v]
+            block.append(x)
+            if v < k - 1:
+                found = open_blocks(depth + 1, opened + (v == opened))
+            else:
+                left = [masks for masks in live if not _has_section(masks, bits)]
+                found = extend(depth + 1, left) if left else None
+            if found:
+                return found
+            block.pop()
         return None
 
-    left = place(1, 0, tested) if tested else None
-    if left is None:
+    def extend(depth: int, live: list[frozenset[int]]) -> list[frozenset[int]] | None:
+        # All k blocks are open, and no family in `live` has a section.
+        profile[depth] += 1
+        if profile[depth] > frontier_cap:
+            raise overflow(depth)
+        if depth == last:
+            return live
+        x = rest[depth]
+        for v, block in enumerate(bits):
+            # The parent has no section, so the child has one iff some
+            # member through x meets every other block.
+            bits[v] = [x]
+            if lone:
+                left = () if _has_section(live[0], bits) else live
+            else:
+                left = [masks for masks in live if not _has_section(masks, bits)]
+            bits[v] = block
+            if not left:
+                continue
+            block.append(x)
+            found = extend(depth + 1, left)
+            if found:
+                return found
+            block.pop()
         return None
-    partition = SetPartition(tuple(
-        tuple(p for p in range(1, n + 1) if mask >> (p - 1) & 1) for mask in masks
-    ))
-    return partition, (left & -left).bit_length() - 1
+
+    if not live:
+        found = None
+    elif seed is None:
+        found = open_blocks(0, 0)
+    else:
+        found = extend(0, live)
+    if found is None:
+        return None, None, [count for count in profile if count] + [0]
+    partition = SetPartition.of([b.bit_length() for b in block] for block in bits)
+    return partition, next(i for i, f in enumerate(families) if f is found[0]), profile
+
+
+def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
+    """Does some mask meet every block?  Blocks are lists of one-bit masks.
+
+    A k-set that meets k disjoint blocks meets each exactly once.  Cheaper
+    side first: when the prod |B_i| candidate sections are no more than the
+    masks they are looked up, else the masks are scanned, filtering on the
+    smallest block.
+    """
+    if math.prod(map(len, bits)) <= len(masks):
+        return not masks.isdisjoint(map(sum, itertools.product(*bits)))
+    first, *rest = sorted(map(sum, bits), key=int.bit_count)
+    return any(all(map(m.__and__, rest)) for m in masks if m & first)
 
 
 def is_section(points: Iterable[int], partition: SetPartition | SubPartition) -> bool:

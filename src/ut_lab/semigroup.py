@@ -6,11 +6,11 @@ section (transversal) of its kernel.  The orbit's BFS stops at the first
 member that is a section, and the witnessing group element is recovered
 from the parent pointers it has so far; only a non-regular map pays for
 the whole orbit.  Every rank-k map is regular exactly when every k-set
-orbit sections every k-partition, and that search stops at the first
-partition some orbit misses (`partitions.first_unsectioned`).  Inside a
-given semigroup, b is regular when some element maps each point of
-image(b) into b's fiber over it, which `_regularity_test` looks up among
-the elements' restrictions to image(b).  Heavy closures run on raw image
+orbit sections every k-partition, which `ut_deciders.seeded_sweep` answers
+by stopping at the first partition some orbit misses.  Inside a given
+semigroup, b is regular when some element maps each point of image(b)
+into b's fiber over it, which `_regularity_test` looks up among the
+elements' restrictions to image(b).  Heavy closures run on raw image
 tuples; Transformation objects only appear at the API boundary.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, DegreeMismatch
-from .partitions import SetPartition, first_unsectioned
+from .partitions import SetPartition
 from .perm_core import PermGroup, Permutation
 from .set_orbits import (
     KSet,
@@ -290,32 +290,28 @@ def transformation_from_parts(
     return Transformation(tuple(images))
 
 
-def regular_for_all_rank_k(
-    G: PermGroup, k: int, method: str = "kut", kut_kwargs: dict | None = None
-) -> bool:
+def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     """Are all rank-k transformations regular in <a, G>?
 
     method="kut" delegates to the k-universal transversal decider (the two
-    properties coincide); method="direct" asks whether every k-set orbit
-    (which covers every image, by G-equivariance) has a section of every
-    k-partition (every kernel), and stops at the first partition that some
-    orbit misses: a depth-first search over the partitions that skips every
-    branch in which all orbits already have a section.
+    properties coincide); method="direct" skips its shortcuts and asks
+    whether every k-set orbit (which covers every image, by G-equivariance)
+    has a section of every k-partition (every kernel), by the decider's
+    exact step, `ut_deciders.seeded_sweep`.
     """
-    from .ut_deciders import has_kut
+    from .ut_deciders import has_kut, seeded_sweep
 
     n = G.degree
     if not 1 < k <= (n + 1) // 2:
         raise ValueError(f"need 1 < k <= floor((n+1)/2), got k={k}")
     if method == "kut":
-        verdict = has_kut(G, k, **(kut_kwargs or {}))
+        verdict = has_kut(G, k)
         if verdict.holds is None:
             raise BudgetExceeded(f"the {k}-ut decision exhausted its budget")
         return bool(verdict.holds)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    orbits = orbits_on_ksets(G, k)
-    return first_unsectioned(n, k, [orbit.masks for orbit in orbits]) is None
+    return seeded_sweep(orbits_on_ksets(G, k), n, k) is None
 
 
 def quasi_regularity_classifier(

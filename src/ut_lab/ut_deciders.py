@@ -5,10 +5,9 @@ for every partition of {1..n} into k blocks.  The dispatcher `has_kut` runs,
 in order: the large-k homogeneity equivalence, the primitivity criterion for
 k=2, the k-homogeneity sufficient condition, the necessary-condition pruners
 (order bound, (k-1,k)-homogeneity, auxiliary-graph connectivity), and finally
-an exact search: either the naive search of every k-partition against every
-k-set orbit, which stops at the first partition some orbit misses, or the
-subpartition extension decider seeded by k-set orbit representatives, a
-depth-first search that stops at the first completion an orbit misses.
+`seeded_sweep`, one `partitions.first_unsectioned` search per orbit
+representative over all orbits.  That search, unseeded, is the naive
+decider, and with one orbit per seed, the subpartition extension decider.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -22,8 +21,9 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, CapExceeded
+from .errors import CapExceeded
 from .partitions import (
+    FRONTIER_CAP,
     SetPartition,
     SubPartition,
     # Not called here since the naive decider became a search, but
@@ -31,7 +31,6 @@ from .partitions import (
     _rgs_stream,
     first_unsectioned,
     singleton_tail_partition,
-    stirling2,
 )
 from .perm_core import PermGroup, is_transitive, nontrivial_block_system, orbits_on_points
 from .set_orbits import (
@@ -48,9 +47,6 @@ from .set_orbits import (
     order_bound_pass,
 )
 
-NAIVE_PARTITION_BUDGET = 10**8
-NAIVE_AUTO_LIMIT = 50_000
-FRONTIER_CAP = 10**7
 DEFAULT_SEED = 1108
 
 
@@ -120,35 +116,23 @@ def _checked_failure(G: PermGroup, rep: KSet, partition: SetPartition, method: s
 # Naive decider
 
 
-def has_kut_naive(
-    G: PermGroup,
-    k: int,
-    partition_budget: int = NAIVE_PARTITION_BUDGET,
-    shortcut_k2: bool = False,
-) -> UtVerdict:
+def has_kut_naive(G: PermGroup, k: int, frontier_cap: int = FRONTIER_CAP) -> UtVerdict:
     """Exact k-ut decision: does every orbit section every k-partition?
 
-    A depth-first search over the k-partitions (`first_unsectioned`) that
-    skips every branch in which all orbits already have a section; its
-    first failure is the first partition in RGS order that an orbit misses,
-    with the first such orbit.  Declares itself infeasible (BudgetExceeded)
-    when the Stirling number S(n, k) exceeds the partition budget.
+    One unseeded `first_unsectioned` search over every k-partition and
+    every orbit at once; its first failure is the first partition in RGS
+    order that an orbit misses, with the first such orbit.  More than
+    `frontier_cap` nodes at one level of the search raises CapExceeded.
     """
     n = G.degree
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if k == 2 and shortcut_k2:
-        return _kut_k2_by_primitivity(G)
-    count = stirling2(n, k)
-    if count > partition_budget:
-        raise BudgetExceeded(
-            f"S({n},{k}) = {count} partitions exceed the naive budget {partition_budget}"
-        )
     orbits = orbits_on_ksets(G, k)
-    failure = first_unsectioned(n, k, [orbit.masks for orbit in orbits])
-    if failure is None:
+    partition, i, _ = first_unsectioned(
+        n, k, [orbit.masks for orbit in orbits], frontier_cap=frontier_cap
+    )
+    if partition is None:
         return UtVerdict(True, "naive")
-    partition, i = failure
     return _checked_failure(G, orbits[i].representative, partition, "naive")
 
 
@@ -506,33 +490,17 @@ def subpartition_extension_decider(
 ) -> UtVerdict:
     """Decide whether the orbit sections every partition refining the seed.
 
-    Depth-first extension: the unplaced points are placed in ascending
-    order, each into blocks 0..k-1 in turn, and a subpartition the orbit
-    already sections is pruned (a section of a subpartition stays a section
-    of every completion).  The search stops at the first full partition
-    that survives, which is a validated witness; it is the first survivor
+    A seeded `first_unsectioned` search with the orbit as its one family.
+    Its first surviving full partition, a validated witness, is the first
     in lexicographic order of block choices, the leaf a breadth-first
-    search would list first.  A search that ends without one certifies the
-    verdict.
-
-    `detail["frontier_profile"]` counts the unsectioned subpartitions met
-    at each level, the seed's level first.  When the verdict holds, the
-    search has met every one of them, and the profile ends with the first
-    level that has none; on a failure it counts only those met before the
-    witness, one level per unplaced point.  More than `frontier_cap` of
-    them at one level raises CapExceeded as soon as the count passes the
-    cap: its `.partial` is then always frontier_cap + 1, and its `.profile`
-    is the profile so far, whose levels count only the subpartitions met
-    before the search stopped, not whole levels.
+    search would list first; a search that ends without one certifies the
+    verdict.  `detail["frontier_profile"]` is the search's profile.
     """
-    n = G.degree
-    if seed.num_blocks != k:
-        raise ValueError(f"seed must have exactly k={k} blocks")
     if orbit.k != k:
         raise ValueError("orbit must consist of k-sets")
-    if any(p > n for p in seed.support):
-        raise ValueError("seed places a point outside the domain")
-    partition, profile = _extension_search(orbit.masks, n, seed, frontier_cap)
+    partition, _, profile = first_unsectioned(
+        G.degree, k, [orbit.masks], seed, frontier_cap
+    )
     if partition is not None:
         return _checked_failure(
             G, orbit.representative, partition, "extension",
@@ -541,63 +509,9 @@ def subpartition_extension_decider(
     return UtVerdict(True, "extension", detail={"frontier_profile": profile})
 
 
-def _extension_search(
-    masks: frozenset[int], n: int, seed: SubPartition, frontier_cap: int
-) -> tuple[SetPartition | None, list[int]]:
-    """The search behind `subpartition_extension_decider`, unchecked.
-
-    Returns the first surviving full partition, or None when the orbit
-    sections every completion of the seed, and the frontier profile.
-    """
-    placed = seed.support
-    remaining = [1 << (p - 1) for p in range(1, n + 1) if p not in placed]
-    # Each block as a list of one-bit masks, changed in place as points are
-    # placed and taken back.
-    bits = [[1 << (p - 1) for p in b] for b in seed.blocks]
-    profile = [0] * (len(remaining) + 1)
-
-    def survives(depth: int) -> bool:
-        """Is some completion of the current, unsectioned subpartition
-        unsectioned?  Leaves the first one found in `bits`."""
-        profile[depth] += 1
-        if profile[depth] > frontier_cap:
-            err = CapExceeded("extension frontier cap exceeded", profile[depth])
-            err.profile = profile[:depth + 1]  # type: ignore[attr-defined]
-            raise err
-        if depth == len(remaining):
-            return True
-        x = remaining[depth]
-        for i, block in enumerate(bits):
-            # The parent has no section, so the child has one iff some
-            # member through x meets every other block.
-            bits[i] = [x]
-            sectioned = _has_section(masks, bits)
-            bits[i] = block
-            if sectioned:
-                continue
-            block.append(x)
-            if survives(depth + 1):
-                return True
-            block.pop()
-        return False
-
-    if not _has_section(masks, bits) and survives(0):
-        return SetPartition.of(kset_of_mask(sum(b)) for b in bits), profile
-    return None, [count for count in profile if count] + [0]
-
-
-def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
-    """Does some orbit member meet every block?  Blocks are lists of bits.
-
-    A k-set that meets k disjoint blocks meets each exactly once.  Cheaper
-    side first: when the prod |B_i| candidate sections are no more than the
-    orbit's members they are looked up, else the orbit is scanned,
-    filtering on the smallest block.
-    """
-    if math.prod(map(len, bits)) <= len(masks):
-        return not masks.isdisjoint(map(sum, itertools.product(*bits)))
-    first, *rest = sorted(map(sum, bits), key=int.bit_count)
-    return any(all(map(m.__and__, rest)) for m in masks if m & first)
+def _singletons(rep: KSet) -> SubPartition:
+    # A representative is sorted, so its singletons are already canonical.
+    return SubPartition(tuple((p,) for p in rep))
 
 
 def _extension_seeds(orbit: KSetOrbit, reps: list[KSet]):
@@ -611,7 +525,7 @@ def _extension_seeds(orbit: KSetOrbit, reps: list[KSet]):
     """
     for rep in reps:
         if mask_of(rep) not in orbit.masks:
-            yield rep, SubPartition.of([(p,) for p in rep])
+            yield rep, _singletons(rep)
 
 
 def _extension_universal(
@@ -633,6 +547,22 @@ def _extension_universal(
     return UtVerdict(True, "extension", detail={"frontier_profiles": profiles})
 
 
+def seeded_sweep(
+    orbits: tuple[KSetOrbit, ...], n: int, k: int, frontier_cap: int = FRONTIER_CAP
+) -> tuple[KSet, SetPartition, int] | None:
+    """(seed representative, partition, orbit index) for a k-partition some
+    orbit misses, unchecked, or None: one `first_unsectioned` search over all
+    orbits per representative seed, which cover every partition (see
+    `_extension_seeds`)."""
+    families = [orbit.masks for orbit in orbits]
+    for orbit in orbits:
+        rep = orbit.representative
+        partition, i, _ = first_unsectioned(n, k, families, _singletons(rep), frontier_cap)
+        if partition is not None:
+            return rep, partition, i
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Dispatcher
 
@@ -641,7 +571,6 @@ def has_kut(
     G: PermGroup,
     k: int,
     method: str = "auto",
-    naive_auto_limit: int = NAIVE_AUTO_LIMIT,
     frontier_cap: int = FRONTIER_CAP,
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> UtVerdict:
@@ -653,7 +582,7 @@ def has_kut(
         raise ValueError(f"unknown method {method!r}")
 
     if method == "naive":
-        return has_kut_naive(G, k)
+        return has_kut_naive(G, k, frontier_cap)
     if method == "extend":
         return _decide_by_extension(G, k, frontier_cap, cap)
 
@@ -691,14 +620,19 @@ def has_kut(
             return pruned
 
     # (d) exact decision
-    if stirling2(n, k) <= naive_auto_limit:
-        return has_kut_naive(G, k)
     try:
-        return _decide_by_extension(G, k, frontier_cap, cap)
+        orbits = orbits_on_ksets(G, k, cap)
+        failure = seeded_sweep(orbits, n, k, frontier_cap)
     except CapExceeded as err:
         return UtVerdict(
             None, "undecided:budget-exhausted", detail={"partial": err.partial}
         )
+    if failure is None:
+        return UtVerdict(True, "extension")
+    seed, partition, i = failure
+    return _checked_failure(
+        G, orbits[i].representative, partition, "extension", {"seed": seed}
+    )
 
 
 def _decide_by_extension(
@@ -738,7 +672,7 @@ def has_weak_kut(
     for orbit in orbits:
         try:
             universal = all(
-                _extension_search(orbit.masks, n, seed, frontier_cap)[0] is None
+                first_unsectioned(n, k, [orbit.masks], seed, frontier_cap)[0] is None
                 for _, seed in _extension_seeds(orbit, reps)
             )
         except CapExceeded:

@@ -4,7 +4,8 @@ These deliberately re-derive expected values with the dumbest possible code,
 sharing nothing with the library implementations they check.  The
 exceptions are the slower searches that the library replaced, kept here as
 the reference the replacements must agree with: `scan_first_unsectioned`,
-the plain partition scan, built on the library's RGS enumerator;
+the plain scan of every partition, built on the library's RGS enumerator,
+or of every completion of a seed;
 `bfs_extension`, the breadth-first subpartition extension search;
 `scan_regular_inside`, the scan of a whole semigroup for a regularity
 witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
@@ -136,18 +137,33 @@ def brute_ij_homogeneous(
     return True, None
 
 
-def scan_first_unsectioned(n: int, k: int, families: list[frozenset[int]]):
-    """Every k-partition in RGS order against every family of k-set masks.
+def scan_first_unsectioned(
+    n: int, k: int, families: list[frozenset[int]], seed_blocks=None
+):
+    """Every k-partition against every family of k-set masks.
 
-    Returns (first partition some family misses, index of the first such
-    family), or None when every family sections every partition.
+    Without seed blocks the partitions come in RGS order; with them, the
+    completions of the seed come in block-choice order: the unplaced points
+    ascending, each trying blocks 0..k-1 in turn.  Returns (first partition
+    some family misses, index of the first such family), or None when every
+    family sections every partition.
     """
-    from ut_lab.partitions import enumerate_kpartitions
+    from ut_lab.partitions import SetPartition, enumerate_kpartitions
 
-    for partition in enumerate_kpartitions(n, k):
+    if seed_blocks is None:
+        candidates = (p.blocks for p in enumerate_kpartitions(n, k))
+    else:
+        placed = {p for b in seed_blocks for p in b}
+        free = [p for p in range(1, n + 1) if p not in placed]
+        candidates = (
+            [tuple(b) + tuple(p for p, c in zip(free, choice) if c == i)
+             for i, b in enumerate(seed_blocks)]
+            for choice in itertools.product(range(len(seed_blocks)), repeat=len(free))
+        )
+    for blocks in candidates:
         for i, family in enumerate(families):
-            if not _sectioned(family, partition.blocks):
-                return partition, i
+            if not _sectioned(family, blocks):
+                return SetPartition.of(blocks), i
     return None
 
 

@@ -150,6 +150,21 @@ class TestSteinerBadPartition:
             steiner_bad_partition(block=(1, 2, 3), inside=(4,), n=8, k=3)
 
 
+def search(n, k, families, seed=None):
+    """`first_unsectioned` without its profile, as the scan oracle answers."""
+    partition, i, _ = first_unsectioned(n, k, families, seed)
+    return None if partition is None else (partition, i)
+
+
+def random_seed(rng, n, k):
+    """k nonempty blocks over a random subset of {1..n}."""
+    points = rng.sample(range(1, n + 1), rng.randint(k, n))
+    blocks = [[p] for p in points[:k]]
+    for p in points[k:]:
+        blocks[rng.randrange(k)].append(p)
+    return SubPartition.of(blocks)
+
+
 class TestFirstUnsectioned:
     """The depth-first partition search against the plain scan it replaced."""
 
@@ -157,9 +172,17 @@ class TestFirstUnsectioned:
         for G in catalog_small:
             n = G.degree
             for k in range(2, (n + 1) // 2 + 1):
-                families = [orbit.masks for orbit in orbits_on_ksets(G, k)]
-                got = first_unsectioned(n, k, families)
+                orbits = orbits_on_ksets(G, k)
+                families = [orbit.masks for orbit in orbits]
+                got = search(n, k, families)
                 assert got == scan_first_unsectioned(n, k, families), (G.name, n, k)
+                # The seeds of the all-orbit sweep: each representative in
+                # singleton blocks.
+                for orbit in orbits:
+                    seed = SubPartition.of([(p,) for p in orbit.representative])
+                    got = search(n, k, families, seed)
+                    want = scan_first_unsectioned(n, k, families, seed.blocks)
+                    assert got == want, (G.name, n, k, orbit.representative)
 
     def test_random_families(self):
         # Families of k-sets that are no group's orbits: sparse ones fail
@@ -175,25 +198,37 @@ class TestFirstUnsectioned:
             for _ in range(rng.randint(1, 4)):
                 density = rng.choice((0.0, 0.3, 0.7, 0.9, 1.0))
                 families.append(frozenset(m for m in ksets if rng.random() < density))
-            got = first_unsectioned(n, k, families)
+            got = search(n, k, families)
             assert got == scan_first_unsectioned(n, k, families), (n, k, families)
-            seen.add(got is None)
-        assert seen == {True, False}
+            seen.add(("unseeded", got is None))
+            seed = random_seed(rng, n, k)
+            got = search(n, k, families, seed)
+            want = scan_first_unsectioned(n, k, families, seed.blocks)
+            assert got == want, (n, k, families, seed)
+            seen.add(("seeded", got is None))
+        assert seen == {(mode, none) for mode in ("unseeded", "seeded")
+                        for none in (True, False)}
 
     def test_first_partition_and_family(self):
         # {1,2} sections every 2-partition except 1,2|3; the empty family
         # sections none.
-        assert first_unsectioned(3, 2, [frozenset({0b011})]) == (SetPartition.parse("1,2|3"), 0)
+        assert search(3, 2, [frozenset({0b011})]) == (SetPartition.parse("1,2|3"), 0)
         everything = frozenset({0b011, 0b101, 0b110})
-        assert first_unsectioned(3, 2, [everything]) is None
-        assert first_unsectioned(3, 2, [everything, frozenset()]) == (
+        assert search(3, 2, [everything]) is None
+        # A family of every 2-set is never probed: the search meets no node.
+        assert first_unsectioned(3, 2, [everything])[2] == [0]
+        assert search(3, 2, [everything, frozenset()]) == (
             SetPartition.parse("1,2|3"), 1)
         # Three copies of one 2-set are not all three 2-sets.
-        assert first_unsectioned(3, 2, [[0b011] * 3]) == (SetPartition.parse("1,2|3"), 0)
-        assert first_unsectioned(3, 2, []) is None
+        assert search(3, 2, [[0b011] * 3]) == (SetPartition.parse("1,2|3"), 0)
+        assert search(3, 2, []) is None
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
             first_unsectioned(3, 0, [])
         with pytest.raises(ValueError):
             first_unsectioned(3, 4, [])
+        with pytest.raises(ValueError):
+            first_unsectioned(3, 2, [], SubPartition.of([(1,)]))
+        with pytest.raises(ValueError):
+            first_unsectioned(3, 2, [], SubPartition.of([(1,), (4,)]))

@@ -5,14 +5,14 @@ import random
 import pytest
 
 from ut_lab.catalog import build_named
-from ut_lab.errors import BudgetExceeded, CapExceeded
-from ut_lab.partitions import SetPartition, SubPartition
+from ut_lab.errors import CapExceeded
+from ut_lab.partitions import SetPartition, SubPartition, _has_section
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
 from ut_lab import set_orbits
 from ut_lab.set_orbits import KSetOrbit, mask_of, orbit_of_set, orbits_on_ksets
 from ut_lab.verify import catalog_groups
+from ut_lab.semigroup import regular_for_all_rank_k
 from ut_lab.ut_deciders import (
-    _has_section,
     aux_graph,
     bad_partition_search_3ut,
     connectivity_prune,
@@ -46,11 +46,14 @@ class TestNaive:
         for k in (2, 3, 4):
             assert has_kut_naive(build_named("S6", 6), k).holds is True
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            has_kut_naive(build_named("S12"), 5, partition_budget=1000)
+    def test_frontier_cap(self):
+        # The search meets two nodes at some level before any answer, and
+        # stops at the second.
+        with pytest.raises(CapExceeded) as err:
+            has_kut_naive(build_named("PSL(2,13)"), 3, frontier_cap=1)
+        assert err.value.partial == 2
 
-    # The kut_sweep benchmark cells that has_kut sends to the naive decider.
+    # The smallest kut_sweep benchmark cells that reach has_kut's exact step.
     @pytest.mark.parametrize("name,degree,k", [
         ("C5", 5, 3), ("D(2*5)", 5, 3), ("PSL(2,5)", 6, 3), ("AGL(1,7)", 7, 3),
         ("AGL(1,7)", 7, 4), ("PGL(2,7)", 8, 4), ("ASL(2,3)", 9, 5), ("AGL(2,3)", 9, 5),
@@ -273,7 +276,7 @@ class TestExtensionOracle:
 
 
 class TestSectionProbe:
-    """The extension search's section probe against a brute scan of the orbit."""
+    """The partition search's section probe against a brute scan of the orbit."""
 
     @staticmethod
     def _brute(masks, blocks):
@@ -342,15 +345,22 @@ class TestHasKut:
         assert validate_ut_witness(G, verdict.witness)
         assert 4 not in set_orbits._ORBIT_CACHE[G]
 
-    def test_methods_agree(self, catalog_small):
-        for G in catalog_small:
+    def test_methods_agree(self):
+        # Every catalog cell of degree <= 14: the unseeded search, the
+        # per-orbit extension searches, the dispatcher with its seeded
+        # all-orbit sweep, and the rank-k regularity question it answers.
+        fails = 0
+        for G in catalog_groups(14):
             n = G.degree
-            if n > 9:
-                continue
-            for k in range(2, min((n + 1) // 2, 4) + 1):
-                naive = has_kut(G, k, method="naive")
-                extend = has_kut(G, k, method="extend")
-                assert naive.holds == extend.holds, (G.name, n, k)
+            for k in range(2, (n + 1) // 2 + 1):
+                verdicts = [has_kut(G, k, method=m) for m in ("naive", "extend", "auto")]
+                holds = {v.holds for v in verdicts}
+                holds.add(regular_for_all_rank_k(G, k, method="direct"))
+                assert holds in ({True}, {False}), (G.name, n, k)
+                for verdict in verdicts:
+                    assert verdict.holds or validate_ut_witness(G, verdict.witness)
+                fails += False in holds
+        assert fails > 50
 
     def test_monotonicity_smoke(self):
         for name, degree in (("PSL(2,8)", 9), ("M11", 12), ("PGL(2,9)", 10)):
