@@ -376,14 +376,19 @@ def elements_bfs(G: PermGroup, cap: int = 10**6) -> set[Permutation]:
     Independent of the stabilizer chain; intended as a cross-check oracle for
     small groups.  Raises CapExceeded beyond `cap` elements.
     """
-    gens = G.gen_images()
+    # Each generator is padded with a 0th entry, so that for 1-based images
+    # p the left-to-right product p * g is itemgetter(*p)(g), one C-level
+    # pass; at degree 1 that itemgetter would return an item, not a tuple.
     start = _identity_images(G.degree)
+    if G.degree == 1:
+        return {Permutation(start)}
+    gens = [(0,) + g for g in G.gen_images()]
     seen: set[Images] = {start}
     queue = deque([start])
     while queue:
-        p = queue.popleft()
+        times = itemgetter(*queue.popleft())
         for g in gens:
-            q = _mult(p, g)
+            q = times(g)
             if q not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded("element closure cap exceeded", len(seen))
@@ -418,11 +423,16 @@ def is_transitive(G: PermGroup) -> bool:
 
 
 def transitivity_degree(G: PermGroup) -> int:
-    """The largest t with the group t-transitive (0 when intransitive)."""
+    """The largest t with the group t-transitive (0 when intransitive).
+
+    Read off the stabilizer chain: once the group is i-transitive, every
+    i-point stabilizer is conjugate to the one fixing the first i base
+    points, so it is (i+1)-transitive iff the basic orbit of level i holds
+    all n - i points left.  In particular the group is transitive iff the
+    first basic orbit holds every point.
+    """
     if G.degree == 1:
         return 1
-    if not is_transitive(G):
-        return 0
     sizes = G.chain.basic_orbit_sizes()
     t = 0
     for i, size in enumerate(sizes):
@@ -488,17 +498,18 @@ def _congruence_closure(G: PermGroup, beta: int) -> list[set[int]]:
 def nontrivial_block_system(G: PermGroup) -> BlockSystem | None:
     """A minimal nontrivial block system, or None when the group is primitive.
 
-    Requires a transitive group.  Merging {1, beta} under generator closure
+    Requires a transitive group.  A 2-transitive group is answered from the
+    stabilizer chain.  Otherwise merging {1, beta} under generator closure
     for every beta and keeping the system with the smallest blocks makes the
     output deterministic.
     """
-    if not is_transitive(G):
+    t = transitivity_degree(G)
+    if t == 0:
         raise NotTransitiveError("primitivity is only defined for transitive groups")
-    n = G.degree
-    if n == 1:
-        return None
+    if t >= 2:
+        return None  # a 2-transitive group is primitive
     best: list[set[int]] | None = None
-    for beta in range(2, n + 1):
+    for beta in range(2, G.degree + 1):
         classes = _congruence_closure(G, beta)
         if len(classes) == 1:
             continue

@@ -3,12 +3,18 @@
 A k-set is a bitmask inside this module (bit p-1 set iff point p is in the
 set) and a sorted tuple of 1-based points at the API boundary.  An orbit
 holds its member masks, its size and its representative; the member tuples
-are made only on request.  `_find_orbits` is the one enumerator of all k-set
-orbits of a group.  `orbits_on_ksets` caches its result per group, and
-`is_ij_homogeneous` reads the cached orbits or, when there are none, takes
-them from the enumerator one at a time.  Orbit representatives are
-the lexicographically least members, so results do not depend on generator
-order.
+are made only on request.
+
+There is one enumeration of the k-set orbits per group and k: k-sets in
+lexicographic order, each unseen one starting the next orbit, so orbit
+representatives are the lexicographically least members and results do not
+depend on generator order.  It runs only as far as a question needs and
+keeps its place (`_orbits_in_order`): `is_k_homogeneous` reads its first
+orbit, `is_ij_homogeneous` goes on up to the first failing orbit, and
+`orbits_on_ksets` finishes it and caches the complete tuple.  So no orbit is
+walked twice, whichever question comes first.  Before any orbit is walked,
+`is_k_homogeneous` asks the stabilizer chain: a k-transitive group is
+k-homogeneous.
 
 Generators act on masks through lookup tables built once per group (see
 `_generator_tables`).  A k-set is a section of k disjoint blocks iff it
@@ -19,13 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
-from .perm_core import Images, PermGroup
+from .perm_core import Images, PermGroup, transitivity_degree
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -121,13 +128,17 @@ _GEN_TABLES = weakref.WeakKeyDictionary()
 
 
 def _byte_tables(images: Images, n: int) -> tuple[tuple[int, ...], ...]:
-    """For each byte c of a mask: byte value -> image mask of its points."""
+    """For each byte c of a mask: byte value -> image mask of its points.
+
+    A byte's table doubles once per point: the values with the point's bit
+    set are the values without it, plus the point's image bit.
+    """
     tables = []
     for c in range(0, n, 8):
-        table = [0] * (1 << min(8, n - c))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | 1 << (images[c + low.bit_length() - 1] - 1)
+        table = [0]
+        for x in images[c:c + 8]:
+            bit = 1 << (x - 1)
+            table += [v | bit for v in table]
         tables.append(tuple(table))
     return tuple(tables)
 
@@ -237,6 +248,77 @@ _ORBIT_CACHE: "weakref.WeakKeyDictionary[PermGroup, dict[int, tuple[KSetOrbit, .
 _ORBIT_CACHE = weakref.WeakKeyDictionary()
 
 
+class _Enumeration:
+    """The lexicographic enumeration of one group's k-set orbits, paused.
+
+    `orbits` are the orbits found so far, in representative order, and
+    `seen` is the union of their members.  `combos` yields the k-sets not
+    yet visited, as tuples of bits, and `pending` is the k-set whose orbit
+    BFS the cap cut short, to be walked first on resumption.  `remaining`
+    counts the k-sets in no orbit found yet.  Orbits are walked under
+    `lock`, since a group may be shared between threads.  Nothing here
+    refers to the group: a weak-keyed entry that held its key would keep
+    it alive.
+    """
+
+    __slots__ = ("orbits", "seen", "combos", "pending", "remaining", "lock")
+
+    def __init__(self, n: int, k: int):
+        self.orbits: list[KSetOrbit] = []
+        self.seen: set[int] = set()
+        self.combos = itertools.combinations([1 << p for p in range(n)], k)
+        self.pending: int | None = None
+        self.remaining = math.comb(n, k)
+        self.lock = threading.Lock()
+
+    def orbit(self, i: int, G: PermGroup, cap: int) -> KSetOrbit | None:
+        """The i-th orbit, walking the next one when it is not found yet;
+        None past the last.  Raises CapExceeded once more than `cap` k-sets
+        have been seen, and can then be resumed."""
+        with self.lock:
+            if i == len(self.orbits) and self.remaining:
+                m = self.pending
+                if m is None:
+                    seen = self.seen
+                    m = self.pending = next(c for c in map(sum, self.combos) if c not in seen)
+                masks = frozenset(_orbit_masks(G, m, cap - len(self.seen)))
+                self.pending = None
+                self.seen |= masks
+                self.orbits.append(KSetOrbit(kset_of_mask(m), len(masks), masks))
+                self.remaining -= len(masks)
+        return self.orbits[i] if i < len(self.orbits) else None
+
+
+# Enumerations under way, per group and k; a finished one moves its orbits
+# to _ORBIT_CACHE, so that only ever holds complete tuples.
+_ENUMERATIONS: "weakref.WeakKeyDictionary[PermGroup, dict[int, _Enumeration]]"
+_ENUMERATIONS = weakref.WeakKeyDictionary()
+
+
+def _orbits_in_order(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
+    """The k-set orbits in representative order, each walked when first asked.
+
+    Reads the cached tuple when there is one, and otherwise the group's
+    enumeration for k, which it resumes past the orbits already found.  The
+    enumeration is kept between calls, so a caller that stops early loses
+    nothing; the call that finds the last orbit caches them all.  Raises
+    CapExceeded once more than `cap` k-sets have been seen.
+    """
+    done = _ORBIT_CACHE.get(G, {}).get(k)
+    if done is not None:
+        yield from done
+        return
+    runs = _ENUMERATIONS.setdefault(G, {})
+    run = runs.get(k) or runs.setdefault(k, _Enumeration(G.degree, k))
+    i = 0
+    while (orbit := run.orbit(i, G, cap)) is not None:
+        if not run.remaining and runs.get(k) is run:
+            _ORBIT_CACHE.setdefault(G, {}).setdefault(k, tuple(run.orbits))
+            runs.pop(k, None)
+        yield orbit
+        i += 1
+
+
 def orbits_on_ksets(
     G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[KSetOrbit, ...]:
@@ -248,36 +330,9 @@ def orbits_on_ksets(
         raise ValueError(f"need 1 <= k <= degree, got k={k}")
     cache = _ORBIT_CACHE.setdefault(G, {})
     if k not in cache:
-        for _ in _find_orbits(G, k, cap):
+        for _ in _orbits_in_order(G, k, cap):
             pass
     return cache[k]
-
-
-def _find_orbits(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
-    """Yield the orbits of k-sets as they are found; cache them all at the end.
-
-    k-sets are visited in lexicographic order and each unseen one starts the
-    next orbit, so it is that orbit's least member and the orbits come out
-    sorted.  A caller that stops early caches nothing.  Raises CapExceeded
-    once more than `cap` k-sets have been seen.
-    """
-    n = G.degree
-    remaining = math.comb(n, k)
-    seen: set[int] = set()
-    orbits: list[KSetOrbit] = []
-    for combo in itertools.combinations([1 << p for p in range(n)], k):
-        m = sum(combo)
-        if m in seen:
-            continue
-        masks = frozenset(_orbit_masks(G, m, cap - len(seen)))
-        seen |= masks
-        orbit = KSetOrbit(kset_of_mask(m), len(masks), masks)
-        orbits.append(orbit)
-        yield orbit
-        remaining -= len(masks)
-        if not remaining:
-            break
-    _ORBIT_CACHE.setdefault(G, {})[k] = tuple(orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +343,17 @@ def is_k_homogeneous(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool
     """True iff G is transitive on k-subsets.
 
     For k > n/2 this is decided on the complements, which form a single orbit
-    iff the k-sets do.
+    iff the k-sets do.  A k-transitive group is k-homogeneous, which the
+    stabilizer chain tells; otherwise the answer is whether the first orbit
+    of the enumeration, the orbit of {1..k}, holds every k-set.
     """
     n = G.degree
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= degree, got k={k}")
     kk = min(k, n - k)
-    if kk == 0:
+    if kk == 0 or transitivity_degree(G) >= kk:
         return True
-    return len(_orbit_masks(G, (1 << kk) - 1, cap)) == math.comb(n, kk)
+    return next(_orbits_in_order(G, kk, cap)).size == math.comb(n, kk)
 
 
 def is_ij_homogeneous(
@@ -308,15 +365,14 @@ def is_ij_homogeneous(
     subset of every j-set orbit representative.  On failure returns a witness
     pair (representative of the first missing i-orbit, representative of the
     first j-orbit that misses it), orbits taken in representative order.  The
-    j-set orbits are found one at a time, so a failure returns without
-    enumerating the rest.
+    j-set orbits are read from the group's enumeration one at a time, so a
+    failure leaves the rest unwalked.
     """
     n = G.degree
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
     i_orbits = orbits_on_ksets(G, i, cap)
-    j_orbits = _ORBIT_CACHE.get(G, {}).get(j) or _find_orbits(G, j, cap)
-    for j_orbit in j_orbits:
+    for j_orbit in _orbits_in_order(G, j, cap):
         rep = j_orbit.representative
         subsets = {mask_of(sub) for sub in itertools.combinations(rep, i)}
         for i_orbit in i_orbits:

@@ -9,8 +9,13 @@ or of every completion of a seed;
 `bfs_extension`, the breadth-first subpartition extension search;
 `scan_regular_inside`, the scan of a whole semigroup for a regularity
 witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
-Schreier generator of a dirty level; and `closure_regular_unpruned`, the
-closure search for a regularity witness through products of every rank.
+Schreier generator of a dirty level; `closure_regular_unpruned`, the
+closure search for a regularity witness through products of every rank;
+`bfs_is_k_homogeneous`, the full orbit walk that k-homogeneity was before
+the stabilizer chain answered it; `closure_block_system`, the all-beta
+congruence closure that primitivity was before 2-transitive groups were
+answered from the chain; and `point_byte_tables`, the point-by-point build
+of the generator byte tables.
 """
 from __future__ import annotations
 
@@ -345,3 +350,75 @@ def closure_regular_unpruned(a: tuple[int, ...], gens) -> bool:
             if prod not in seen and not seen.add(prod)
         ]
     return False
+
+
+def bfs_is_k_homogeneous(gen_images: list[tuple[int, ...]], n: int, k: int) -> bool:
+    """Is the orbit of {1..k} every k-set?  Decided on the complements
+    above n/2, by a full frozenset closure."""
+    kk = min(k, n - k)
+    if kk == 0:
+        return True
+    start = frozenset(range(1, kk + 1))
+    return len(brute_set_orbit(gen_images, start)) == math.comb(n, kk)
+
+
+def closure_block_system(gen_images: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]] | None:
+    """The finest nontrivial block system with the most blocks over every
+    {1, beta} closure, as sorted blocks in order of their least points, or
+    None when every closure is the whole set (a primitive group)."""
+    best = None
+    for beta in range(2, n + 1):
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        pending = [(1, beta)]
+        while pending:
+            a, b = pending.pop()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            parent[max(ra, rb)] = min(ra, rb)
+            pending.extend((g[a - 1], g[b - 1]) for g in gen_images)
+        classes: dict[int, list[int]] = {}
+        for p in range(1, n + 1):
+            classes.setdefault(find(p), []).append(p)
+        if len(classes) > 1 and (best is None or len(classes) > len(best)):
+            best = sorted(tuple(c) for c in classes.values())
+    return best
+
+
+def brute_transitivity_degree(gen_images: list[tuple[int, ...]], n: int) -> int:
+    """The largest t whose ordered t-tuples of distinct points form one orbit."""
+    t = 0
+    while t < n:
+        start = tuple(range(1, t + 2))
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for g in gen_images:
+                y = tuple(g[p - 1] for p in x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        if len(orbit) != math.perm(n, t + 1):
+            break
+        t += 1
+    return t
+
+
+def point_byte_tables(images: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """For each byte of a mask, byte value -> image mask, one value at a time
+    from the value without its lowest bit."""
+    tables = []
+    for c in range(0, n, 8):
+        table = [0] * (1 << min(8, n - c))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << (images[c + low.bit_length() - 1] - 1)
+        tables.append(tuple(table))
+    return tuple(tables)

@@ -24,7 +24,12 @@ from ut_lab.perm_core import (
 
 from ut_lab.verify import catalog_groups
 
-from _oracles import RescanStabChain, s3_cayley_table
+from _oracles import (
+    RescanStabChain,
+    brute_transitivity_degree,
+    closure_block_system,
+    s3_cayley_table,
+)
 
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -132,10 +137,11 @@ class TestGroupOrder:
 
     def test_contains_agrees_with_bfs(self):
         # every element of each group, and a seeded sample of S_n, most of
-        # it outside the group; degree <= 12 keeps the closures quick
+        # it outside the group; degree <= 20 and order <= 100,000 keep the
+        # closures quick
         rng = random.Random(1108)
         checked = 0
-        for G in catalog_groups(12):
+        for G in catalog_groups(20):
             if G.order > 100_000:
                 continue
             elements = elements_bfs(G)
@@ -146,7 +152,7 @@ class TestGroupOrder:
                 p = Permutation(tuple(points))
                 assert G.contains(p) == (p in elements), (G.name, p)
             checked += 1
-        assert checked > 50
+        assert checked > 60
 
 
 class TestChainOracle:
@@ -202,6 +208,26 @@ class TestTransitivity:
     def test_degrees(self, name, degree, t):
         assert transitivity_degree(build_named(name, degree)) == t
 
+    def test_read_off_the_chain_at_the_edges(self):
+        # intransitive, trivial and tiny groups, with no transitivity test
+        # before the chain is read
+        cases = [
+            (PermGroup.from_gens([Permutation.parse("(1,2)", 4)]), 0),
+            (PermGroup.from_gens([Permutation.parse("(1,2,3)", 4)]), 0),
+            (PermGroup.from_gens([Permutation.identity(3)]), 0),
+            (PermGroup.from_gens([Permutation.parse("(1,2)", 2)]), 2),
+            (PermGroup.from_gens([Permutation.identity(2)]), 0),
+            (PermGroup.from_gens([Permutation.identity(1)]), 1),
+        ]
+        for G, t in cases:
+            assert transitivity_degree(G) == t, G.generators
+
+    def test_matches_tuple_orbits_on_catalog(self):
+        for G in catalog_groups(8):
+            assert transitivity_degree(G) == brute_transitivity_degree(
+                G.gen_images(), G.degree
+            ), (G.name, G.degree)
+
 
 class TestPrimitivity:
     def test_c6_imprimitive(self):
@@ -242,6 +268,19 @@ class TestPrimitivity:
         for G in catalog_small:
             if is_transitive(G) and is_primitive(G):
                 assert is_transitive(G)
+
+    def test_matches_closure_on_catalog(self):
+        # 2-transitive groups are answered from the chain, the others by
+        # closure; among the latter are primitive groups such as C_p and 11:5
+        primitive_not_2_transitive = []
+        for G in catalog_groups(14):
+            expected = closure_block_system(G.gen_images(), G.degree)
+            system = nontrivial_block_system(G)
+            got = None if system is None else [tuple(b) for b in system.blocks.blocks]
+            assert got == expected, (G.name, G.degree)
+            if expected is None and transitivity_degree(G) < 2:
+                primitive_not_2_transitive.append(G.name)
+        assert {"C5", "C11", "11:5", "A5"} <= set(primitive_not_2_transitive)
 
     def test_block_system_validity_on_catalog(self, catalog_small):
         found = 0

@@ -1,11 +1,16 @@
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
 
 import pytest
 
 from ut_lab.catalog import build_named
 from ut_lab import set_orbits
 from ut_lab.errors import CapExceeded
+from ut_lab.perm_core import PermGroup, transitivity_degree
 from ut_lab.set_orbits import (
     as_kset,
     is_ij_homogeneous,
@@ -16,8 +21,25 @@ from ut_lab.set_orbits import (
     orbits_on_ksets,
     order_bound_pass,
 )
+from ut_lab.ut_deciders import has_kut
+from ut_lab.verify import catalog_groups
 
-from _oracles import brute_ij_homogeneous, brute_set_orbit
+from _oracles import (
+    bfs_is_k_homogeneous,
+    brute_ij_homogeneous,
+    brute_set_orbit,
+    point_byte_tables,
+)
+
+
+def _fresh(G: PermGroup) -> PermGroup:
+    """The same group with nothing cached: no chain, tables or orbits."""
+    return PermGroup(G.degree, G.generators, G.name)
+
+
+@pytest.fixture(scope="module")
+def catalog14():
+    return catalog_groups(14)
 
 
 class TestOrbitOfSet:
@@ -157,6 +179,152 @@ class TestKHomogeneous:
             for k in range(2, n // 2 + 1):
                 if is_k_homogeneous(G, k):
                     assert is_k_homogeneous(G, k - 1), (G.name, k)
+
+
+class TestKHomogeneousOracle:
+    """is_k_homogeneous, chain read or first orbit, against a full closure."""
+
+    def test_every_k_on_catalog(self, catalog14):
+        chain_answered = walked = 0
+        for G in catalog14:
+            n, gens = G.degree, G.gen_images()
+            for k in range(1, n + 1):
+                assert is_k_homogeneous(G, k) == bfs_is_k_homogeneous(gens, n, k), (G.name, n, k)
+                if 0 < min(k, n - k) <= transitivity_degree(G):
+                    chain_answered += 1
+                else:
+                    walked += 1
+        assert chain_answered > 100 and walked > 100
+
+    def test_cap_still_applies_to_a_walked_orbit(self):
+        # AGL(1,13) is 2-transitive, not 3-transitive: its 3-sets are walked
+        G = build_named("AGL(1,13)")
+        assert is_k_homogeneous(G, 2, cap=1)  # read off the chain
+        with pytest.raises(CapExceeded):
+            is_k_homogeneous(G, 3, cap=10)
+        assert is_k_homogeneous(G, 3) == bfs_is_k_homogeneous(G.gen_images(), 13, 3)
+
+
+class TestOneEnumeration:
+    """One resumable lexicographic enumeration per group and k."""
+
+    @staticmethod
+    def _answers(G, order):
+        n = G.degree
+        ks = range(1, n)
+        out = {}
+        for question in order:
+            if question == "orbits":
+                out["orbits"] = {
+                    k: [(o.representative, o.size, o.masks) for o in orbits_on_ksets(G, k)]
+                    for k in ks
+                }
+            elif question == "khom":
+                out["khom"] = {k: is_k_homogeneous(G, k) for k in ks}
+            else:
+                out["ij"] = {
+                    (i, j): is_ij_homogeneous(G, i, j)
+                    for j in sorted(ks, reverse=True) for i in range(1, j + 1)
+                }
+        return out
+
+    def test_answers_do_not_depend_on_question_order(self, catalog14):
+        orders = (("orbits", "khom", "ij"), ("ij", "khom", "orbits"), ("khom", "ij", "orbits"))
+        for G in catalog14:
+            first, *rest = (self._answers(_fresh(G), order) for order in orders)
+            for other in rest:
+                assert other == first, G.name
+
+    def test_each_orbit_walked_once(self, monkeypatch):
+        # PSL(2,11) at degree 12 is 2-transitive only, 3-homogeneous and not
+        # 4-homogeneous, so every question below walks orbits
+        G = build_named("PSL(2,11)", 12)
+        assert transitivity_degree(G) == 2
+        walked = []
+        real = set_orbits._orbit_masks
+
+        def counting(G, start, *args):
+            walked.append(start)
+            return real(G, start, *args)
+
+        monkeypatch.setattr(set_orbits, "_orbit_masks", counting)
+        assert not is_k_homogeneous(G, 4)
+        assert len(walked) == 1
+        is_ij_homogeneous(G, 3, 4)
+        assert is_k_homogeneous(G, 3) and not is_k_homogeneous(G, 4)
+        orbits = {k: orbits_on_ksets(G, k) for k in (3, 4)}
+        assert sorted(walked) == sorted(
+            mask_of(o.representative) for k in (3, 4) for o in orbits[k]
+        )
+        assert set_orbits._ENUMERATIONS[G] == {}
+
+    def test_cap_leaves_the_enumeration_resumable(self):
+        expected = orbits_on_ksets(build_named("AGL(1,13)"), 4)
+        sizes = [o.size for o in expected]
+        assert len(sizes) > 3
+        G = build_named("AGL(1,13)")
+        # the first cap cuts the first orbit, the next ones cut later orbits
+        for cap in (sizes[0] - 1, sizes[0] + sizes[1] + 1, math.comb(13, 4) - 1):
+            with pytest.raises(CapExceeded):
+                orbits_on_ksets(G, 4, cap=cap)
+            assert 4 not in set_orbits._ORBIT_CACHE[G]
+            run = set_orbits._ENUMERATIONS[G][4]
+            assert sum(o.size for o in run.orbits) <= cap
+            assert run.pending is not None
+        assert is_ij_homogeneous(G, 3, 4) == is_ij_homogeneous(build_named("AGL(1,13)"), 3, 4)
+        assert orbits_on_ksets(G, 4) == expected
+        assert 4 not in set_orbits._ENUMERATIONS[G]
+
+    def test_threads_share_one_enumeration(self):
+        # threads asking different questions of one group, switching often
+        fresh = build_named("AGL(1,13)")
+        expected = (orbits_on_ksets(fresh, 4), is_ij_homogeneous(fresh, 3, 4),
+                    is_k_homogeneous(fresh, 4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                G = build_named("AGL(1,13)")
+                results = []
+
+                def ask(G=G, results=results):
+                    results.append((orbits_on_ksets(G, 4), is_ij_homogeneous(G, 3, 4),
+                                    is_k_homogeneous(G, 4)))
+
+                def ask_partly(G=G, results=results):
+                    is_k_homogeneous(G, 4)
+                    ask()
+
+                threads = [threading.Thread(target=f) for f in (ask, ask_partly) * 3]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert results == [expected] * len(threads)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_groups_are_freed(self):
+        # a stopped enumeration, complete orbits, tables and a chain: none of
+        # them may keep the group alive
+        G = _fresh(build_named("AGL(1,17)"))
+        assert not is_ij_homogeneous(G, 3, 4)[0]
+        assert 4 in set_orbits._ENUMERATIONS[G]
+        assert has_kut(G, 3).holds is False
+        ref = weakref.ref(G)
+        del G
+        gc.collect()
+        assert ref() is None
+
+
+class TestByteTables:
+    def test_doubling_matches_point_by_point(self):
+        groups = catalog_groups(10**6, include_optional=True)
+        assert max(G.degree for G in groups) > 61
+        for G in groups:
+            for g in G.gen_images():
+                assert set_orbits._byte_tables(g, G.degree) == point_byte_tables(g, G.degree), G.name
 
 
 class TestIjHomogeneous:

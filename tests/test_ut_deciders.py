@@ -93,8 +93,20 @@ class TestWitnessCheckIndependence:
             sum(1 << (p - 1) for p in c) for c in itertools.combinations(range(1, 14), 3)
         )
         for masks in (everything, frozenset()):
-            # orbits that section every partition, then orbits that section none
-            set_orbits._ORBIT_CACHE[G][3] = (KSetOrbit((1, 2, 3), len(masks), masks),)
+            # orbits that section every partition, then orbits that section
+            # none, in the cache and in a stopped enumeration; then in the
+            # enumeration alone, as a decider would read it with no cache
+            orbit = KSetOrbit((1, 2, 3), len(masks), masks)
+            run = set_orbits._Enumeration(13, 3)
+            run.orbits.append(orbit)
+            run.seen |= masks
+            run.remaining -= len(masks)
+            set_orbits._ORBIT_CACHE[G][3] = (orbit,)
+            set_orbits._ENUMERATIONS.setdefault(G, {})[3] = run
+            assert validate_ut_witness(G, good)
+            assert not validate_ut_witness(G, bogus)
+            del set_orbits._ORBIT_CACHE[G][3]
+            assert next(set_orbits._orbits_in_order(G, 3, 10**7)) is orbit
             assert validate_ut_witness(G, good)
             assert not validate_ut_witness(G, bogus)
 

@@ -5,9 +5,13 @@ Usage, from anywhere:
 
     python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload regularity_maps \\
         --seed 1 --pairs 10
+    python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload all --seed 1 --pairs 10
 
-Each pair runs ``perfbench/run.py`` once in each checkout, with the same
-workload, seed and run length (``run_seconds`` of the change checkout's
+``--workload`` takes one or more workload names, or ``all`` for every
+workload in the change checkout's ``BENCHMARK.json``; the workloads are run
+one after the other, and each gets its own table.  Each pair runs
+``perfbench/run.py`` once in each checkout, with the same workload, seed and
+run length (``run_seconds`` of the change checkout's
 ``BENCHMARK.json``), and alternates which checkout goes first, so a drift
 in the host's speed falls on both sides alike.  For every metric the
 script prints both sides' median and quartiles, the relative change of the
@@ -41,14 +45,15 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", nargs="+", required=True,
+                    help="workload names, or 'all' for every workload in BENCHMARK.json")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     return ap.parse_args(argv)
 
 
-def run_once(checkout: Path, args, seconds: float) -> dict[str, float]:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+def run_once(checkout: Path, workload: str, args, seconds: float) -> dict[str, float]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
@@ -59,13 +64,15 @@ def run_once(checkout: Path, args, seconds: float) -> dict[str, float]:
     return {name: m["value"] for name, m in report["metrics"].items()}
 
 
-def benchmark_spec(checkout: Path) -> tuple[float, dict[str, str], dict[str, float]]:
-    """The run length, each metric's better direction and the bounds."""
+def benchmark_spec(checkout: Path) -> tuple[float, list[str], dict[str, str], dict[str, float]]:
+    """The run length, the workload names, each metric's better direction
+    and the bounds."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"] + spec["per_layer"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
-    return spec["run_seconds"], better, bounds
+    return spec["run_seconds"], workloads, better, bounds
 
 
 def bound_note(rel: float | None, sign: int, bound: float | None) -> str:
@@ -86,17 +93,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    seconds, better, bounds = benchmark_spec(args.change)
+def compare(workload: str, args, seconds: float, better: dict[str, str],
+            bounds: dict[str, float]) -> None:
+    """Run the pairs of one workload and print its table."""
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args, seconds))
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+            runs[side].append(run_once(getattr(args, side), workload, args, seconds))
+        print(f"{workload} pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     new_names, old_names = runs["change"][0].keys(), runs["parent"][0].keys()
     for side, missing in (("parent", new_names - old_names), ("change", old_names - new_names)):
         if missing:
@@ -122,6 +129,19 @@ def main(argv=None) -> int:
               + f" {nmed:10.4g} [{nq1:.4g}, {nq3:.4g}]".ljust(29)
               + (f" {rel:+8.1%}" if rel is not None else f" {'n/a':>8}")
               + f" {wins:>3}/{args.pairs:<3} {verdict:7}  {bound_note(rel, sign, bounds.get(name))}")
+    print(flush=True)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    seconds, known, better, bounds = benchmark_spec(args.change)
+    workloads = known if args.workload == ["all"] else args.workload
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        raise SystemExit(f"error: unknown workload(s) {', '.join(unknown)}; "
+                         f"BENCHMARK.json lists {', '.join(known)}")
+    for workload in workloads:
+        compare(workload, args, seconds, better, bounds)
     return 0
 
 
