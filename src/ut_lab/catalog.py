@@ -408,13 +408,6 @@ def _psl2_order(q: int) -> int:
     return _pgl2_order(q) // math.gcd(2, q - 1)
 
 
-def _gl_order(d: int, p: int) -> int:
-    out = 1
-    for i in range(d):
-        out *= p**d - p**i
-    return out
-
-
 def catalog_manifest() -> list[GroupSpec]:
     """Every named group of the catalog, smallest degrees first."""
     specs: list[GroupSpec] = []

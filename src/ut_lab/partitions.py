@@ -17,6 +17,8 @@ from .errors import CapExceeded
 
 Block = tuple[int, ...]
 
+# The nodes one level of a `first_unsectioned` search may meet.  Read at
+# call time.
 FRONTIER_CAP = 10**7
 
 
@@ -57,12 +59,6 @@ class SetPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_containing(self, point: int) -> Block:
-        for b in self.blocks:
-            if point in b:
-                return b
-        raise KeyError(point)
 
     def __str__(self) -> str:
         return "|".join(",".join(map(str, b)) for b in self.blocks)
@@ -182,7 +178,6 @@ def first_unsectioned(
     k: int,
     families: Sequence[Collection[int]],
     seed: SubPartition | None = None,
-    frontier_cap: int = FRONTIER_CAP,
 ) -> tuple[SetPartition | None, int | None, list[int]]:
     """The first k-partition of {1..n} that some family does not section.
 
@@ -200,8 +195,8 @@ def first_unsectioned(
     family, and the profile: the nodes met per level that some family has
     no section of, the root's level first.  With no such leaf, it returns
     None, None and the profile up to its first empty level.  More than
-    `frontier_cap` nodes at one level raises CapExceeded at once, with
-    `.partial` frontier_cap + 1 and `.profile` the profile so far.
+    FRONTIER_CAP nodes at one level raises CapExceeded at once, with
+    `.partial` FRONTIER_CAP + 1 and `.profile` the profile so far.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -224,6 +219,7 @@ def first_unsectioned(
     # A search for one family skips building lists of families.
     lone = len(live) == 1
     profile = [0] * (last + 1)
+    cap = FRONTIER_CAP
 
     def overflow(depth: int) -> CapExceeded:
         err = CapExceeded("partition search frontier cap exceeded", profile[depth])
@@ -235,7 +231,7 @@ def first_unsectioned(
     def open_blocks(depth: int, opened: int) -> list[frozenset[int]] | None:
         # Fewer than k blocks are open, so no family has a section yet.
         profile[depth] += 1
-        if profile[depth] > frontier_cap:
+        if profile[depth] > cap:
             raise overflow(depth)
         x = rest[depth]
         # Existing blocks only while the points left can open the rest.
@@ -255,7 +251,7 @@ def first_unsectioned(
     def extend(depth: int, live: list[frozenset[int]]) -> list[frozenset[int]] | None:
         # All k blocks are open, and no family in `live` has a section.
         profile[depth] += 1
-        if profile[depth] > frontier_cap:
+        if profile[depth] > cap:
             raise overflow(depth)
         if depth == last:
             return live

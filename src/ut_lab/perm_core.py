@@ -21,6 +21,8 @@ from .errors import CapExceeded, DegreeMismatch, NotTransitiveError
 from .partitions import SetPartition
 
 MAX_DEGREE = 512
+# The elements `elements_bfs` may list.  Read at call time.
+ELEMENTS_BFS_CAP = 10**6
 
 Images = tuple[int, ...]
 
@@ -370,11 +372,11 @@ def group_order(G: PermGroup) -> int:
     return G.order
 
 
-def elements_bfs(G: PermGroup, cap: int = 10**6) -> set[Permutation]:
+def elements_bfs(G: PermGroup) -> set[Permutation]:
     """All group elements by closure BFS over the generators.
 
     Independent of the stabilizer chain; intended as a cross-check oracle for
-    small groups.  Raises CapExceeded beyond `cap` elements.
+    small groups.  Raises CapExceeded beyond ELEMENTS_BFS_CAP elements.
     """
     # Each generator is padded with a 0th entry, so that for 1-based images
     # p the left-to-right product p * g is itemgetter(*p)(g), one C-level
@@ -382,6 +384,7 @@ def elements_bfs(G: PermGroup, cap: int = 10**6) -> set[Permutation]:
     start = _identity_images(G.degree)
     if G.degree == 1:
         return {Permutation(start)}
+    cap = ELEMENTS_BFS_CAP
     gens = [(0,) + g for g in G.gen_images()]
     seen: set[Images] = {start}
     queue = deque([start])

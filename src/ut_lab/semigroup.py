@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, DegreeMismatch
 from .partitions import SetPartition
+from . import set_orbits
 from .perm_core import PermGroup, Permutation
 from .set_orbits import (
     KSet,
@@ -32,7 +33,12 @@ from .set_orbits import (
     trace_orbit_word,
 )
 
+# The distinct products a closure may hold.  Read at call time.
 DEFAULT_CLOSURE_CAP = 500_000
+# `is_regular_semigroup` spot-checks closure on this many products, drawn
+# from this seed.
+CLOSURE_CHECKS = 64
+CLOSURE_CHECK_SEED = 1108
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,14 @@ class RegularityResult:
         return self.regular
 
 
-def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> RegularityResult:
+def is_regular_in(a: Transformation, G: PermGroup) -> RegularityResult:
     """Is a regular in <a, G>?  True iff rank(a g a) = rank(a) for some g in G.
 
     Decided without enumerating G: the orbit of image(a) must contain a
     section of kernel(a).  The orbit's BFS stops at the first section it
     reaches, and the witness g is rebuilt from the parent pointers up to
-    it; g is deterministic and satisfies rank(a g a) = rank(a).
+    it; g is deterministic and satisfies rank(a g a) = rank(a).  Raises
+    CapExceeded past `set_orbits.DEFAULT_ORBIT_CAP` orbit members.
     """
     if a.degree != G.degree:
         raise DegreeMismatch("transformation and group degrees differ")
@@ -140,7 +147,9 @@ def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> Regulari
     if a.rank == n:
         return RegularityResult(True, G.identity())
     blocks = [mask_of(b) for b in a.kernel().blocks]
-    parents = _orbit_masks(G, mask_of(a.image_set()), cap, section_of=blocks)
+    parents = _orbit_masks(
+        G, mask_of(a.image_set()), set_orbits.DEFAULT_ORBIT_CAP, section_of=blocks
+    )
     # The BFS stopped at its last member if and only if that is a section.
     target = next(reversed(parents))
     if not all(map(target.__and__, blocks)):
@@ -152,16 +161,17 @@ def is_regular_in(a: Transformation, G: PermGroup, cap: int = 10**7) -> Regulari
     return RegularityResult(True, g)
 
 
-def semigroup_closure(
-    gens: Iterable[Transformation], cap: int = DEFAULT_CLOSURE_CAP
-) -> frozenset[Transformation]:
-    """Closure of the generators under composition on both sides."""
+def semigroup_closure(gens: Iterable[Transformation]) -> frozenset[Transformation]:
+    """Closure of the generators under composition on both sides.
+
+    Raises CapExceeded past DEFAULT_CLOSURE_CAP elements.
+    """
     raw = [g.images for g in gens]
     if not raw:
         raise ValueError("need at least one generator")
     if len({len(g) for g in raw}) != 1:
         raise DegreeMismatch("generators must share a degree")
-    closed = _closure_tuples(raw, cap)
+    closed = _closure_tuples(raw, DEFAULT_CLOSURE_CAP)
     return frozenset(Transformation(t) for t in closed)
 
 
@@ -184,8 +194,6 @@ def _closure_tuples(
 
 def is_regular_semigroup(
     S: Iterable[Transformation],
-    closure_checks: int = 64,
-    seed: int = 1108,
 ) -> tuple[bool, Transformation | None]:
     """Is every element b of S regular (b = b c b for some c in S)?
 
@@ -197,8 +205,8 @@ def is_regular_semigroup(
     if not elements:
         raise ValueError("empty semigroup")
     universe = set(elements)
-    rng = random.Random(seed)
-    for _ in range(min(closure_checks, len(elements) ** 2)):
+    rng = random.Random(CLOSURE_CHECK_SEED)
+    for _ in range(min(CLOSURE_CHECKS, len(elements) ** 2)):
         x = rng.choice(elements)
         y = rng.choice(elements)
         if _t_mult(x, y) not in universe:
@@ -236,18 +244,17 @@ def _regularity_test(
     return regular
 
 
-def regular_in_closure(
-    a: Transformation, G: PermGroup, cap: int = DEFAULT_CLOSURE_CAP
-) -> bool:
+def regular_in_closure(a: Transformation, G: PermGroup) -> bool:
     """Brute-force regularity of a inside <a, G> by closure search.
 
     Streams the closure, multiplying by a generator on either side, and
     stops at the first c with a c a = a.  Such a c has rank at least
     rank(a), and so has every contiguous subword of a word for c, so the
     products of lower rank are never extended: every candidate is still
-    reached one generator at a time.  Searches all the rest (up to `cap`
-    distinct products) before answering False.
+    reached one generator at a time.  Searches all the rest (up to
+    DEFAULT_CLOSURE_CAP distinct products) before answering False.
     """
+    cap = DEFAULT_CLOSURE_CAP
     raw = [g.images for g in G.generators] + [a.images]
     target = a.images
     rank = a.rank

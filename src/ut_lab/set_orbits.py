@@ -34,6 +34,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapExceeded
 from .perm_core import Images, PermGroup, transitivity_degree
 
+# The k-sets one orbit question may walk: a single orbit's BFS, or the
+# orbits an enumeration has found so far.  Read at call time.
 DEFAULT_ORBIT_CAP = 10**7
 
 KSet = tuple[int, ...]
@@ -208,12 +210,13 @@ def _orbit_masks(
     return parents
 
 
-def orbit_of_set(
-    G: PermGroup, S: Iterable[int], cap: int = DEFAULT_ORBIT_CAP
-) -> KSetOrbit:
-    """The orbit of the set S under G, by its own BFS (the cache is not read)."""
+def orbit_of_set(G: PermGroup, S: Iterable[int]) -> KSetOrbit:
+    """The orbit of the set S under G, by its own BFS (the cache is not read).
+
+    Raises CapExceeded past DEFAULT_ORBIT_CAP members.
+    """
     pts = as_kset(S, G.degree)
-    masks = frozenset(_orbit_masks(G, mask_of(pts), cap))
+    masks = frozenset(_orbit_masks(G, mask_of(pts), DEFAULT_ORBIT_CAP))
     return KSetOrbit(kset_of_mask(_lex_least(masks)), len(masks), masks)
 
 
@@ -254,11 +257,11 @@ class _Enumeration:
     `orbits` are the orbits found so far, in representative order, and
     `seen` is the union of their members.  `combos` yields the k-sets not
     yet visited, as tuples of bits, and `pending` is the k-set whose orbit
-    BFS the cap cut short, to be walked first on resumption.  `remaining`
-    counts the k-sets in no orbit found yet.  Orbits are walked under
-    `lock`, since a group may be shared between threads.  Nothing here
-    refers to the group: a weak-keyed entry that held its key would keep
-    it alive.
+    BFS DEFAULT_ORBIT_CAP cut short, to be walked first on resumption.
+    `remaining` counts the k-sets in no orbit found yet.  Orbits are walked
+    under `lock`, since a group may be shared between threads.  Nothing
+    here refers to the group: a weak-keyed entry that held its key would
+    keep it alive.
     """
 
     __slots__ = ("orbits", "seen", "combos", "pending", "remaining", "lock")
@@ -271,17 +274,17 @@ class _Enumeration:
         self.remaining = math.comb(n, k)
         self.lock = threading.Lock()
 
-    def orbit(self, i: int, G: PermGroup, cap: int) -> KSetOrbit | None:
+    def orbit(self, i: int, G: PermGroup) -> KSetOrbit | None:
         """The i-th orbit, walking the next one when it is not found yet;
-        None past the last.  Raises CapExceeded once more than `cap` k-sets
-        have been seen, and can then be resumed."""
+        None past the last.  Raises CapExceeded once more than
+        DEFAULT_ORBIT_CAP k-sets have been seen, and can then be resumed."""
         with self.lock:
             if i == len(self.orbits) and self.remaining:
                 m = self.pending
                 if m is None:
                     seen = self.seen
                     m = self.pending = next(c for c in map(sum, self.combos) if c not in seen)
-                masks = frozenset(_orbit_masks(G, m, cap - len(self.seen)))
+                masks = frozenset(_orbit_masks(G, m, DEFAULT_ORBIT_CAP - len(self.seen)))
                 self.pending = None
                 self.seen |= masks
                 self.orbits.append(KSetOrbit(kset_of_mask(m), len(masks), masks))
@@ -295,14 +298,14 @@ _ENUMERATIONS: "weakref.WeakKeyDictionary[PermGroup, dict[int, _Enumeration]]"
 _ENUMERATIONS = weakref.WeakKeyDictionary()
 
 
-def _orbits_in_order(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
+def _orbits_in_order(G: PermGroup, k: int) -> Iterator[KSetOrbit]:
     """The k-set orbits in representative order, each walked when first asked.
 
     Reads the cached tuple when there is one, and otherwise the group's
     enumeration for k, which it resumes past the orbits already found.  The
     enumeration is kept between calls, so a caller that stops early loses
     nothing; the call that finds the last orbit caches them all.  Raises
-    CapExceeded once more than `cap` k-sets have been seen.
+    CapExceeded once more than DEFAULT_ORBIT_CAP k-sets have been seen.
     """
     done = _ORBIT_CACHE.get(G, {}).get(k)
     if done is not None:
@@ -311,7 +314,7 @@ def _orbits_in_order(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
     runs = _ENUMERATIONS.setdefault(G, {})
     run = runs.get(k) or runs.setdefault(k, _Enumeration(G.degree, k))
     i = 0
-    while (orbit := run.orbit(i, G, cap)) is not None:
+    while (orbit := run.orbit(i, G)) is not None:
         if not run.remaining and runs.get(k) is run:
             _ORBIT_CACHE.setdefault(G, {}).setdefault(k, tuple(run.orbits))
             runs.pop(k, None)
@@ -319,18 +322,18 @@ def _orbits_in_order(G: PermGroup, k: int, cap: int) -> Iterator[KSetOrbit]:
         i += 1
 
 
-def orbits_on_ksets(
-    G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[KSetOrbit, ...]:
+def orbits_on_ksets(G: PermGroup, k: int) -> tuple[KSetOrbit, ...]:
     """All orbits of k-sets, ordered by lex-least representative.
 
-    Orbit sizes sum to C(n, k).  Results are memoized per group.
+    Orbit sizes sum to C(n, k).  Results are memoized per group.  Raises
+    CapExceeded once more than DEFAULT_ORBIT_CAP k-sets have been walked;
+    a later call resumes where that one stopped.
     """
     if not 1 <= k <= G.degree:
         raise ValueError(f"need 1 <= k <= degree, got k={k}")
     cache = _ORBIT_CACHE.setdefault(G, {})
     if k not in cache:
-        for _ in _orbits_in_order(G, k, cap):
+        for _ in _orbits_in_order(G, k):
             pass
     return cache[k]
 
@@ -339,7 +342,7 @@ def orbits_on_ksets(
 # Homogeneity
 
 
-def is_k_homogeneous(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool:
+def is_k_homogeneous(G: PermGroup, k: int) -> bool:
     """True iff G is transitive on k-subsets.
 
     For k > n/2 this is decided on the complements, which form a single orbit
@@ -353,26 +356,30 @@ def is_k_homogeneous(G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP) -> bool
     kk = min(k, n - k)
     if kk == 0 or transitivity_degree(G) >= kk:
         return True
-    return next(_orbits_in_order(G, kk, cap)).size == math.comb(n, kk)
+    return next(_orbits_in_order(G, kk)).size == math.comb(n, kk)
 
 
 def is_ij_homogeneous(
-    G: PermGroup, i: int, j: int, cap: int = DEFAULT_ORBIT_CAP
+    G: PermGroup, i: int, j: int
 ) -> tuple[bool, tuple[KSet, KSet] | None]:
     """Decide (i,j)-homogeneity: every i-set maps into every j-set.
 
     Equivalent, by orbit invariance, to: every orbit of i-sets contains a
     subset of every j-set orbit representative.  On failure returns a witness
     pair (representative of the first missing i-orbit, representative of the
-    first j-orbit that misses it), orbits taken in representative order.  The
-    j-set orbits are read from the group's enumeration one at a time, so a
-    failure leaves the rest unwalked.
+    first j-orbit that misses it), orbits taken in representative order.  An
+    i-homogeneous group maps any i-set onto an i-subset of any j-set, so no
+    j-set orbit is walked for it.  Otherwise the j-set orbits are read from
+    the group's enumeration one at a time, so a failure leaves the rest
+    unwalked.
     """
     n = G.degree
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    i_orbits = orbits_on_ksets(G, i, cap)
-    for j_orbit in _orbits_in_order(G, j, cap):
+    if is_k_homogeneous(G, i):
+        return True, None
+    i_orbits = orbits_on_ksets(G, i)
+    for j_orbit in _orbits_in_order(G, j):
         rep = j_orbit.representative
         subsets = {mask_of(sub) for sub in itertools.combinations(rep, i)}
         for i_orbit in i_orbits:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded
 from .partitions import (
-    FRONTIER_CAP,
     SetPartition,
     SubPartition,
     # Not called here since the naive decider became a search, but
@@ -34,7 +33,6 @@ from .partitions import (
 )
 from .perm_core import PermGroup, is_transitive, nontrivial_block_system, orbits_on_points
 from .set_orbits import (
-    DEFAULT_ORBIT_CAP,
     KSet,
     KSetOrbit,
     as_kset,
@@ -47,7 +45,11 @@ from .set_orbits import (
     order_bound_pass,
 )
 
-DEFAULT_SEED = 1108
+# The growth rounds of `bad_partition_search_3ut` per seed vertex.
+GROWTH_ROUNDS = 64
+# `two_graph_check` samples this many 4-sets, from this seed, above degree 30.
+TWO_GRAPH_SAMPLES = 100_000
+TWO_GRAPH_SEED = 1108
 
 
 @dataclass(frozen=True)
@@ -116,21 +118,19 @@ def _checked_failure(G: PermGroup, rep: KSet, partition: SetPartition, method: s
 # Naive decider
 
 
-def has_kut_naive(G: PermGroup, k: int, frontier_cap: int = FRONTIER_CAP) -> UtVerdict:
+def has_kut_naive(G: PermGroup, k: int) -> UtVerdict:
     """Exact k-ut decision: does every orbit section every k-partition?
 
     One unseeded `first_unsectioned` search over every k-partition and
     every orbit at once; its first failure is the first partition in RGS
-    order that an orbit misses, with the first such orbit.  More than
-    `frontier_cap` nodes at one level of the search raises CapExceeded.
+    order that an orbit misses, with the first such orbit.  An exhausted
+    budget, k-set orbits or search nodes, raises CapExceeded.
     """
     n = G.degree
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     orbits = orbits_on_ksets(G, k)
-    partition, i, _ = first_unsectioned(
-        n, k, [orbit.masks for orbit in orbits], frontier_cap=frontier_cap
-    )
+    partition, i, _ = first_unsectioned(n, k, [orbit.masks for orbit in orbits])
     if partition is None:
         return UtVerdict(True, "naive")
     return _checked_failure(G, orbits[i].representative, partition, "naive")
@@ -203,9 +203,7 @@ class AuxGraph:
         return len(self.components()) <= 1
 
 
-def aux_graph(
-    G: PermGroup, B, c: int, cap: int = DEFAULT_ORBIT_CAP
-) -> AuxGraph:
+def aux_graph(G: PermGroup, B, c: int) -> AuxGraph:
     """The graph whose edges {x, y} satisfy {x, y} union B in the orbit of
     {1, ..., t, c}, where t = |B| + 1.  Requires a t-homogeneous group and
     an apex c outside {1..t}.
@@ -214,9 +212,9 @@ def aux_graph(
     t = len(base) + 1
     if not 1 <= c <= G.degree or c <= t:
         raise ValueError(f"apex must lie outside {{1..{t}}}")
-    if not is_k_homogeneous(G, t, cap):
+    if not is_k_homogeneous(G, t):
         raise ValueError("the group must be t-homogeneous for a base of size t-1")
-    orbit = orbit_of_set(G, tuple(range(1, t + 1)) + (c,), cap)
+    orbit = orbit_of_set(G, tuple(range(1, t + 1)) + (c,))
     return _graph_from_orbit(orbit, base, c, G.degree)
 
 
@@ -232,14 +230,14 @@ def _graph_from_orbit(orbit: KSetOrbit, base: KSet, apex: int, n: int) -> AuxGra
     return AuxGraph(base, apex, vertices, frozenset(edges))
 
 
-def gamma_graph(G: PermGroup, C, c: int, cap: int = DEFAULT_ORBIT_CAP) -> AuxGraph:
+def gamma_graph(G: PermGroup, C, c: int) -> AuxGraph:
     """Union over b in C of the pair-graphs G(b, c), restricted outside C."""
-    if not is_k_homogeneous(G, 2, cap):
+    if not is_k_homogeneous(G, 2):
         raise ValueError("the gamma graph needs a 2-homogeneous group")
     C_set = set(as_kset(C, G.degree))
     if c in C_set or c in (1, 2):
         raise ValueError("apex must avoid C and {1, 2}")
-    orbit = orbit_of_set(G, (1, 2, c), cap)
+    orbit = orbit_of_set(G, (1, 2, c))
     vertices = tuple(v for v in range(1, G.degree + 1) if v not in C_set)
     edges = set()
     for member in orbit.members:
@@ -250,9 +248,7 @@ def gamma_graph(G: PermGroup, C, c: int, cap: int = DEFAULT_ORBIT_CAP) -> AuxGra
     return AuxGraph(tuple(sorted(C_set)), c, vertices, frozenset(edges))
 
 
-def connectivity_prune(
-    G: PermGroup, k: int, cap: int = DEFAULT_ORBIT_CAP
-) -> UtVerdict | None:
+def connectivity_prune(G: PermGroup, k: int) -> UtVerdict | None:
     """Disconnection of some auxiliary graph disproves k-ut with a witness.
 
     For each k-set orbit, take a member containing {1..k-1}, set the base to
@@ -264,11 +260,11 @@ def connectivity_prune(
     t = k - 1
     if k < 3:
         raise ValueError("connectivity pruning applies for k >= 3")
-    if not is_k_homogeneous(G, t, cap):
+    if not is_k_homogeneous(G, t):
         raise ValueError("the group must be (k-1)-homogeneous")
     tmask = mask_of(range(1, t + 1))
     base = tuple(range(1, t))
-    for orbit in orbits_on_ksets(G, k, cap):
+    for orbit in orbits_on_ksets(G, k):
         member_mask = min(m for m in orbit.masks if m & tmask == tmask)
         apex = kset_of_mask(member_mask & ~tmask)[0]
         graph = _graph_from_orbit(orbit, base, apex, n)
@@ -356,29 +352,23 @@ def _sides_connected(
     return bool(seen & Ap)
 
 
-def bad_partition_search_3ut(
-    G: PermGroup,
-    c: int,
-    d: int,
-    max_rounds: int = 64,
-    cap: int = DEFAULT_ORBIT_CAP,
-) -> list[SeedReport]:
+def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
     """Try to grow a bad 3-partition (A, C, A') for the orbit of {1, 2, c}.
 
     Starting from A = {1}, C = {n}, and each seed y at distance d from 1 in
     the pair graph on base {n}, membership constraints are propagated until
     the two sides land in a single component of the current middle-block
     graph ("connected": the candidate cannot stay section-free), a complete
-    surviving partition is certified bad, or the round cap is hit.  This is
+    surviving partition is certified bad, or GROWTH_ROUNDS run out.  This is
     a diagnostic, not a decider: "connected"/"exhausted" never constitute a
     k-ut verdict on their own, which is why has_kut never calls it.
     """
     n = G.degree
-    if not is_k_homogeneous(G, 2, cap):
+    if not is_k_homogeneous(G, 2):
         raise ValueError("the procedure needs a 2-homogeneous group")
     if c in (1, 2) or not 3 <= c <= n:
         raise ValueError("apex must avoid {1, 2}")
-    orbit = orbit_of_set(G, (1, 2, c), cap)
+    orbit = orbit_of_set(G, (1, 2, c))
     index = _PairIndex(orbit, n)
     # the base graph on {1..n-1}: pairs completing {n} into the orbit
     adj: dict[int, list[int]] = {v: [] for v in range(1, n)}
@@ -392,12 +382,12 @@ def bad_partition_search_3ut(
     reports = []
     for y in sorted(v for v, dv in dist1.items() if dv == d and v != 1):
         reports.append(
-            _grow_candidate(G, orbit, index, adj, dist1, y, d, n, max_rounds)
+            _grow_candidate(G, orbit, index, adj, dist1, y, d, n)
         )
     return reports
 
 
-def _grow_candidate(G, orbit, index, adj, dist1, y, d, n, max_rounds) -> SeedReport:
+def _grow_candidate(G, orbit, index, adj, dist1, y, d, n) -> SeedReport:
     A = {1}
     Ap = {y}
     C = {n}
@@ -412,7 +402,7 @@ def _grow_candidate(G, orbit, index, adj, dist1, y, d, n, max_rounds) -> SeedRep
             C.add(x)
 
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < GROWTH_ROUNDS:
         rounds += 1
         changed = False
         # a point completing a committed A-A' pair into the orbit cannot lie
@@ -486,7 +476,6 @@ def subpartition_extension_decider(
     k: int,
     orbit: KSetOrbit,
     seed: SubPartition,
-    frontier_cap: int = FRONTIER_CAP,
 ) -> UtVerdict:
     """Decide whether the orbit sections every partition refining the seed.
 
@@ -498,9 +487,7 @@ def subpartition_extension_decider(
     """
     if orbit.k != k:
         raise ValueError("orbit must consist of k-sets")
-    partition, _, profile = first_unsectioned(
-        G.degree, k, [orbit.masks], seed, frontier_cap
-    )
+    partition, _, profile = first_unsectioned(G.degree, k, [orbit.masks], seed)
     if partition is not None:
         return _checked_failure(
             G, orbit.representative, partition, "extension",
@@ -529,17 +516,13 @@ def _extension_seeds(orbit: KSetOrbit, reps: list[KSet]):
 
 
 def _extension_universal(
-    G: PermGroup,
-    k: int,
-    orbit: KSetOrbit,
-    reps: list[KSet],
-    frontier_cap: int,
+    G: PermGroup, k: int, orbit: KSetOrbit, reps: list[KSet]
 ) -> UtVerdict:
     """Run the extension decider for one orbit against every seed placement;
     a failure carries its validated witness."""
     profiles = {}
     for rep, seed in _extension_seeds(orbit, reps):
-        verdict = subpartition_extension_decider(G, k, orbit, seed, frontier_cap)
+        verdict = subpartition_extension_decider(G, k, orbit, seed)
         profiles[str(rep)] = verdict.detail.get("frontier_profile")
         if verdict.holds is False:
             verdict.detail["seed"] = rep
@@ -548,7 +531,7 @@ def _extension_universal(
 
 
 def seeded_sweep(
-    orbits: tuple[KSetOrbit, ...], n: int, k: int, frontier_cap: int = FRONTIER_CAP
+    orbits: tuple[KSetOrbit, ...], n: int, k: int
 ) -> tuple[KSet, SetPartition, int] | None:
     """(seed representative, partition, orbit index) for a k-partition some
     orbit misses, unchecked, or None: one `first_unsectioned` search over all
@@ -557,7 +540,7 @@ def seeded_sweep(
     families = [orbit.masks for orbit in orbits]
     for orbit in orbits:
         rep = orbit.representative
-        partition, i, _ = first_unsectioned(n, k, families, _singletons(rep), frontier_cap)
+        partition, i, _ = first_unsectioned(n, k, families, _singletons(rep))
         if partition is not None:
             return rep, partition, i
     return None
@@ -567,30 +550,39 @@ def seeded_sweep(
 # Dispatcher
 
 
-def has_kut(
-    G: PermGroup,
-    k: int,
-    method: str = "auto",
-    frontier_cap: int = FRONTIER_CAP,
-    cap: int = DEFAULT_ORBIT_CAP,
-) -> UtVerdict:
-    """Decide the k-universal transversal property for 2 <= k < n."""
+def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
+    """Decide the k-universal transversal property for 2 <= k < n.
+
+    method="auto" runs the dispatcher chain of this module's docstring,
+    "naive" the unseeded search alone, and "extend" one extension search
+    per orbit and seed.  Whichever runs, an exhausted budget, k-set orbits
+    (`set_orbits.DEFAULT_ORBIT_CAP`) or search nodes
+    (`partitions.FRONTIER_CAP`), gives "undecided:budget-exhausted".
+    """
     n = G.degree
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     if method not in ("auto", "naive", "extend"):
         raise ValueError(f"unknown method {method!r}")
+    try:
+        if method == "naive":
+            return has_kut_naive(G, k)
+        if method == "extend":
+            return _decide_by_extension(G, k)
+        return _decide_auto(G, k)
+    except CapExceeded as err:
+        return UtVerdict(
+            None, "undecided:budget-exhausted", detail={"partial": err.partial}
+        )
 
-    if method == "naive":
-        return has_kut_naive(G, k, frontier_cap)
-    if method == "extend":
-        return _decide_by_extension(G, k, frontier_cap, cap)
 
+def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
+    n = G.degree
     # (a) above the midpoint, k-ut is exactly k-homogeneity
     if k > (n + 1) // 2:
-        if is_k_homogeneous(G, k, cap):
+        if is_k_homogeneous(G, k):
             return UtVerdict(True, "bigk:k-homogeneous")
-        ok, pair = is_ij_homogeneous(G, k - 1, k, cap)
+        ok, pair = is_ij_homogeneous(G, k - 1, k)
         if ok:
             raise AssertionError("large k: not k-homogeneous yet (k-1,k)-homogeneous")
         i_rep, j_set = pair
@@ -602,31 +594,26 @@ def has_kut(
         return _kut_k2_by_primitivity(G)
 
     # sufficient: a k-homogeneous group sections everything
-    if is_k_homogeneous(G, k, cap):
+    if is_k_homogeneous(G, k):
         return UtVerdict(True, "k-homogeneous")
 
     # (c) necessary prunes, cheapest first
     method_tag = "prune:ij-homogeneity"
     if not order_bound_pass(G, k - 1):
         method_tag = "prune:order-bound"
-    ok, pair = is_ij_homogeneous(G, k - 1, k, cap)
+    ok, pair = is_ij_homogeneous(G, k - 1, k)
     if not ok:
         i_rep, j_set = pair
         partition = singleton_tail_partition(i_rep, n)
         return _checked_failure(G, j_set, partition, method_tag)
-    if is_k_homogeneous(G, k - 1, cap):
-        pruned = connectivity_prune(G, k, cap)
+    if is_k_homogeneous(G, k - 1):
+        pruned = connectivity_prune(G, k)
         if pruned is not None:
             return pruned
 
     # (d) exact decision
-    try:
-        orbits = orbits_on_ksets(G, k, cap)
-        failure = seeded_sweep(orbits, n, k, frontier_cap)
-    except CapExceeded as err:
-        return UtVerdict(
-            None, "undecided:budget-exhausted", detail={"partial": err.partial}
-        )
+    orbits = orbits_on_ksets(G, k)
+    failure = seeded_sweep(orbits, n, k)
     if failure is None:
         return UtVerdict(True, "extension")
     seed, partition, i = failure
@@ -635,14 +622,12 @@ def has_kut(
     )
 
 
-def _decide_by_extension(
-    G: PermGroup, k: int, frontier_cap: int, cap: int
-) -> UtVerdict:
-    orbits = orbits_on_ksets(G, k, cap)
+def _decide_by_extension(G: PermGroup, k: int) -> UtVerdict:
+    orbits = orbits_on_ksets(G, k)
     reps = [o.representative for o in orbits]
     all_profiles = {}
     for orbit in orbits:
-        verdict = _extension_universal(G, k, orbit, reps, frontier_cap)
+        verdict = _extension_universal(G, k, orbit, reps)
         if verdict.holds is False:
             return verdict
         all_profiles[str(orbit.representative)] = verdict.detail.get(
@@ -651,36 +636,29 @@ def _decide_by_extension(
     return UtVerdict(True, "extension", detail={"frontier_profiles": all_profiles})
 
 
-def has_weak_kut(
-    G: PermGroup,
-    k: int,
-    frontier_cap: int = FRONTIER_CAP,
-    cap: int = DEFAULT_ORBIT_CAP,
-) -> tuple[bool | None, KSet | None]:
+def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
     """Does some single k-set orbit section every k-partition?
 
     Returns (True, lex-least universal representative), (False, None), or
-    (None, None) when the budget ran out.  No witness is returned, so the
+    (None, None) when a budget ran out, k-set orbits or search nodes, before
+    the least universal orbit was found.  No witness is returned, so the
     partitions an orbit misses are dropped unchecked.
     """
     n = G.degree
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
-    orbits = orbits_on_ksets(G, k, cap)
-    reps = [o.representative for o in orbits]
-    undecided = False
-    for orbit in orbits:
-        try:
-            universal = all(
-                first_unsectioned(n, k, [orbit.masks], seed, frontier_cap)[0] is None
+    try:
+        orbits = orbits_on_ksets(G, k)
+        reps = [o.representative for o in orbits]
+        for orbit in orbits:
+            if all(
+                first_unsectioned(n, k, [orbit.masks], seed)[0] is None
                 for _, seed in _extension_seeds(orbit, reps)
-            )
-        except CapExceeded:
-            undecided = True
-            continue
-        if universal:
-            return True, orbit.representative
-    return (None, None) if undecided else (False, None)
+            ):
+                return True, orbit.representative
+    except CapExceeded:
+        return None, None
+    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -694,17 +672,12 @@ class TwoGraphReport:
     exhaustive: bool
 
 
-def two_graph_check(
-    G: PermGroup,
-    orbit: KSetOrbit,
-    sample: int = 100_000,
-    seed: int = DEFAULT_SEED,
-) -> TwoGraphReport | None:
+def two_graph_check(G: PermGroup, orbit: KSetOrbit) -> TwoGraphReport | None:
     """Check a 3-set orbit for the regular two-graph property and certify.
 
     Returns None unless every pair lies in a constant number lambda of orbit
     members and every 4-set contains an even number of them (exhaustive for
-    n <= 30, sampled above).  When n/3 - 2 < lambda < 2n/3 the two-graph
+    n <= 30, TWO_GRAPH_SAMPLES seeded samples above).  When n/3 - 2 < lambda < 2n/3 the two-graph
     argument rules out section-free 3-partitions for this orbit.
     """
     if orbit.k != 3:
@@ -726,9 +699,9 @@ def two_graph_check(
         quads = itertools.combinations(range(1, n + 1), 4)
         exhaustive = True
     else:
-        rng = random.Random(seed)
+        rng = random.Random(TWO_GRAPH_SEED)
         pts = list(range(1, n + 1))
-        quads = (tuple(sorted(rng.sample(pts, 4))) for _ in range(sample))
+        quads = (tuple(sorted(rng.sample(pts, 4))) for _ in range(TWO_GRAPH_SAMPLES))
         exhaustive = False
     for quad in quads:
         inside = sum(1 for tri in itertools.combinations(quad, 3) if tri in members)

@@ -17,6 +17,7 @@ from typing import Callable
 from .catalog import build, build_named, catalog_manifest
 from .errors import MissingDataError
 from .num_theory import agl_criterion, consecutive_qr_shortcut, primes_up_to, sixth_root_shortcut
+from . import semigroup
 from .perm_core import PermGroup
 from .semigroup import (
     Transformation,
@@ -238,7 +239,12 @@ def criterion_7() -> tuple[bool | None, str]:
     return True, f"3 orbits, 5-ut certified; peak frontier {peak} (logged, not asserted)"
 
 
-def criterion_8(samples_per_group: int = 2000, seed: int = 1108) -> tuple[bool | None, str]:
+# C8 draws this many maps per degree-6 group, from this seed.
+C8_SAMPLES_PER_GROUP = 2000
+C8_SEED = 1108
+
+
+def criterion_8() -> tuple[bool | None, str]:
     """Lemma-oracle equivalence: the orbit-section regularity test agrees
     with brute-force closure search, exhaustively for n <= 5."""
     checked = 0
@@ -251,10 +257,10 @@ def criterion_8(samples_per_group: int = 2000, seed: int = 1108) -> tuple[bool |
             if fast != slow:
                 return False, f"{G.name}@{n}: disagreement on {a}"
             checked += 1
-    rng = random.Random(seed)
+    rng = random.Random(C8_SEED)
     for G in catalog_groups(6, min_degree=6):
         n = G.degree
-        for _ in range(samples_per_group):
+        for _ in range(C8_SAMPLES_PER_GROUP):
             a = Transformation(tuple(rng.randint(1, n) for _ in range(n)))
             fast = is_regular_in(a, G).regular
             slow = regular_in_closure(a, G)
@@ -348,7 +354,9 @@ def criterion_12() -> tuple[bool | None, str]:
     # ASL(2,3): locate a non-regular element of <a, G> by closure search
     G9 = build_named("ASL(2,3)")
     a = Transformation.parse("1,4,5,2,2,2,2,2,2")
-    closure = _closure_tuples([g.images for g in G9.generators] + [a.images], 500_000)
+    closure = _closure_tuples(
+        [g.images for g in G9.generators] + [a.images], semigroup.DEFAULT_CLOSURE_CAP
+    )
     elements = sorted(closure)
     regular = _regularity_test(elements)
     witness = None
@@ -386,7 +394,7 @@ def criterion_12() -> tuple[bool | None, str]:
                 return False, f"HS: certified orbit has lambda {report.lam}"
             certified += 1
             continue
-        verdict = _extension_universal(HS, 3, orbit, reps, 10**7)
+        verdict = _extension_universal(HS, 3, orbit, reps)
         if verdict.holds is not True:
             return False, f"HS orbit {orbit.representative}: {verdict.status}"
     if certified != 1:

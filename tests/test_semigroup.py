@@ -232,7 +232,8 @@ class TestClosure:
         brute = brute_semigroup_closure([g.images for g in gens])
         assert {t.images for t in closed} == brute
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        from ut_lab import semigroup
         from ut_lab.errors import CapExceeded
 
         gens = [
@@ -240,8 +241,9 @@ class TestClosure:
             Transformation.parse("2,3,4,5,6,1"),
             Transformation.parse("1,1,2,3,4,5"),
         ]
+        monkeypatch.setattr(semigroup, "DEFAULT_CLOSURE_CAP", 100)
         with pytest.raises(CapExceeded):
-            semigroup_closure(gens, cap=100)
+            semigroup_closure(gens)
 
 
 class TestRegularSemigroup:
@@ -269,7 +271,7 @@ class TestRegularSemigroup:
         G = build_named("ASL(2,3)")
         a = Transformation.parse("1,4,5,2,2,2,2,2,2")
         assert not is_regular_in(a, G).regular
-        assert not regular_in_closure(a, G, cap=200_000)
+        assert not regular_in_closure(a, G)
 
 
 def _all_elements(G):
@@ -322,7 +324,7 @@ class TestRankKClassifiers:
         )
         assert is_quasi_permutation(a) and a.rank == 4
         assert not is_regular_in(a, G).regular
-        assert not regular_in_closure(a, G, cap=200_000)
+        assert not regular_in_closure(a, G)
 
 
 class TestMcAlisterConsistency:

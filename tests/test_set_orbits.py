@@ -58,9 +58,10 @@ class TestOrbitOfSet:
         brute = brute_set_orbit(G.gen_images(), frozenset((1, 3, 6)))
         assert orbit.members == {tuple(sorted(s)) for s in brute}
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(set_orbits, "DEFAULT_ORBIT_CAP", 100)
         with pytest.raises(CapExceeded):
-            orbit_of_set(build_named("S10"), (1, 2, 3, 4, 5), cap=100)
+            orbit_of_set(build_named("S10"), (1, 2, 3, 4, 5))
 
     def test_mask_roundtrip(self):
         s = (2, 5, 9)
@@ -196,12 +197,15 @@ class TestKHomogeneousOracle:
                     walked += 1
         assert chain_answered > 100 and walked > 100
 
-    def test_cap_still_applies_to_a_walked_orbit(self):
+    def test_cap_still_applies_to_a_walked_orbit(self, monkeypatch):
         # AGL(1,13) is 2-transitive, not 3-transitive: its 3-sets are walked
         G = build_named("AGL(1,13)")
-        assert is_k_homogeneous(G, 2, cap=1)  # read off the chain
-        with pytest.raises(CapExceeded):
-            is_k_homogeneous(G, 3, cap=10)
+        with monkeypatch.context() as m:
+            m.setattr(set_orbits, "DEFAULT_ORBIT_CAP", 1)
+            assert is_k_homogeneous(G, 2)  # read off the chain
+            m.setattr(set_orbits, "DEFAULT_ORBIT_CAP", 10)
+            with pytest.raises(CapExceeded):
+                is_k_homogeneous(G, 3)
         assert is_k_homogeneous(G, 3) == bfs_is_k_homogeneous(G.gen_images(), 13, 3)
 
 
@@ -258,19 +262,38 @@ class TestOneEnumeration:
         )
         assert set_orbits._ENUMERATIONS[G] == {}
 
-    def test_cap_leaves_the_enumeration_resumable(self):
+    def test_no_j_orbit_walked_for_an_i_homogeneous_group(self, monkeypatch):
+        # PSL(2,11) at degree 12 is 2-transitive and 3-homogeneous
+        G = build_named("PSL(2,11)", 12)
+        walked = []
+        real = set_orbits._orbit_masks
+
+        def counting(G, start, *args):
+            walked.append(start)
+            return real(G, start, *args)
+
+        monkeypatch.setattr(set_orbits, "_orbit_masks", counting)
+        assert is_ij_homogeneous(G, 2, 5) == (True, None)
+        assert walked == []  # read off the chain
+        assert is_ij_homogeneous(G, 3, 5) == (True, None)
+        assert walked == [mask_of((1, 2, 3))]  # the one 3-set orbit
+        assert 5 not in set_orbits._ENUMERATIONS.get(G, {})
+
+    def test_cap_leaves_the_enumeration_resumable(self, monkeypatch):
         expected = orbits_on_ksets(build_named("AGL(1,13)"), 4)
         sizes = [o.size for o in expected]
         assert len(sizes) > 3
         G = build_named("AGL(1,13)")
         # the first cap cuts the first orbit, the next ones cut later orbits
-        for cap in (sizes[0] - 1, sizes[0] + sizes[1] + 1, math.comb(13, 4) - 1):
-            with pytest.raises(CapExceeded):
-                orbits_on_ksets(G, 4, cap=cap)
-            assert 4 not in set_orbits._ORBIT_CACHE[G]
-            run = set_orbits._ENUMERATIONS[G][4]
-            assert sum(o.size for o in run.orbits) <= cap
-            assert run.pending is not None
+        with monkeypatch.context() as m:
+            for cap in (sizes[0] - 1, sizes[0] + sizes[1] + 1, math.comb(13, 4) - 1):
+                m.setattr(set_orbits, "DEFAULT_ORBIT_CAP", cap)
+                with pytest.raises(CapExceeded):
+                    orbits_on_ksets(G, 4)
+                assert 4 not in set_orbits._ORBIT_CACHE[G]
+                run = set_orbits._ENUMERATIONS[G][4]
+                assert sum(o.size for o in run.orbits) <= cap
+                assert run.pending is not None
         assert is_ij_homogeneous(G, 3, 4) == is_ij_homogeneous(build_named("AGL(1,13)"), 3, 4)
         assert orbits_on_ksets(G, 4) == expected
         assert 4 not in set_orbits._ENUMERATIONS[G]
@@ -383,10 +406,10 @@ class TestIjOracle:
 
     def test_j_orbits_found_lazily(self):
         # a failure stops at the first failing j-set orbit and caches no
-        # j-set orbits; a success caches them all; cached or not, the
-        # answer is the same
-        for i, j, holds in ((3, 4, False), (2, 3, True)):
-            G = build_named("AGL(1,17)")
+        # j-set orbits; a success on a group that is not i-homogeneous
+        # caches them all; cached or not, the answer is the same
+        for name, i, j, holds in (("AGL(1,17)", 3, 4, False), ("ASL(2,3)", 4, 5, True)):
+            G = build_named(name)
             got = is_ij_homogeneous(G, i, j)
             assert got[0] is holds
             assert (j in set_orbits._ORBIT_CACHE[G]) is holds

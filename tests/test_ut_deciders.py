@@ -6,6 +6,7 @@ import pytest
 
 from ut_lab.catalog import build_named
 from ut_lab.errors import CapExceeded
+from ut_lab import partitions
 from ut_lab.partitions import SetPartition, SubPartition, _has_section
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
 from ut_lab import set_orbits
@@ -46,11 +47,12 @@ class TestNaive:
         for k in (2, 3, 4):
             assert has_kut_naive(build_named("S6", 6), k).holds is True
 
-    def test_frontier_cap(self):
+    def test_frontier_cap(self, monkeypatch):
         # The search meets two nodes at some level before any answer, and
         # stops at the second.
+        monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
         with pytest.raises(CapExceeded) as err:
-            has_kut_naive(build_named("PSL(2,13)"), 3, frontier_cap=1)
+            has_kut_naive(build_named("PSL(2,13)"), 3)
         assert err.value.partial == 2
 
     # The smallest kut_sweep benchmark cells that reach has_kut's exact step.
@@ -106,7 +108,7 @@ class TestWitnessCheckIndependence:
             assert validate_ut_witness(G, good)
             assert not validate_ut_witness(G, bogus)
             del set_orbits._ORBIT_CACHE[G][3]
-            assert next(set_orbits._orbits_in_order(G, 3, 10**7)) is orbit
+            assert next(set_orbits._orbits_in_order(G, 3)) is orbit
             assert validate_ut_witness(G, good)
             assert not validate_ut_witness(G, bogus)
 
@@ -216,29 +218,32 @@ class TestExtensionDecider:
         with pytest.raises(ValueError):
             subpartition_extension_decider(G, 2, orbit, SubPartition.of([(1,), (9,)]))
 
-    def test_undecided_on_tiny_frontier_cap(self):
+    def test_undecided_on_tiny_frontier_cap(self, monkeypatch):
         G = build_named("PSL(2,13)")
-        verdict = has_kut(G, 3, frontier_cap=1)
+        monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
+        verdict = has_kut(G, 3)
         assert verdict.holds is None
         assert verdict.status == "undecided"
 
-    def test_cap_bounds_one_level_of_the_depth_first_search(self):
+    def test_cap_bounds_one_level_of_the_depth_first_search(self, monkeypatch):
         # A breadth-first search holds 224 subpartitions at one level here
         # and overran this cap; the depth-first one meets a witness first.
         G = build_named("PSL(2,19)", 20)
-        verdict = has_kut(G, 4, method="extend", frontier_cap=200)
+        monkeypatch.setattr(partitions, "FRONTIER_CAP", 200)
+        verdict = has_kut(G, 4, method="extend")
         assert verdict.holds is False
         assert validate_ut_witness(G, verdict.witness)
         assert max(verdict.detail["frontier_profile"]) <= 200
 
-    def test_cap_raises_with_profile(self):
+    def test_cap_raises_with_profile(self, monkeypatch):
         G = build_named("PSL(2,13)")
         orbit = orbits_on_ksets(G, 3)[1]
         seed = SubPartition.of([(1,), (2,), (3,)])
+        monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
         with pytest.raises(CapExceeded) as err:
-            subpartition_extension_decider(G, 3, orbit, seed, frontier_cap=1)
+            subpartition_extension_decider(G, 3, orbit, seed)
         # The count passes the cap at the first node past it, so .partial
-        # is frontier_cap + 1 whatever the level's full size.
+        # is FRONTIER_CAP + 1 whatever the level's full size.
         assert err.value.partial == 2
         assert err.value.profile[-1] == 2
 
@@ -454,6 +459,34 @@ class TestWeakKut:
         if holds:
             universal = min(r for r, v in expected.items() if v)
             assert rep == universal
+
+
+class TestBudgetExhausted:
+    """Every exhausted budget inside has_kut is "undecided", whatever the method."""
+
+    @pytest.mark.parametrize("owner,constant,value,name,k", [
+        (set_orbits, "DEFAULT_ORBIT_CAP", 50, "AGL(1,13)", 4),
+        (partitions, "FRONTIER_CAP", 1, "PSL(2,13)", 3),
+    ])
+    def test_every_method_is_undecided(self, monkeypatch, owner, constant, value, name, k):
+        monkeypatch.setattr(owner, constant, value)
+        for method in ("auto", "naive", "extend"):
+            verdict = has_kut(build_named(name), k, method=method)
+            assert verdict.holds is None, method
+            assert verdict.method == "undecided:budget-exhausted", method
+            assert verdict.detail["partial"] > value, method
+
+    @pytest.mark.parametrize("owner,constant,value", [
+        (set_orbits, "DEFAULT_ORBIT_CAP", 50),
+        (partitions, "FRONTIER_CAP", 2),
+    ])
+    def test_weak_kut_is_undecided(self, monkeypatch, owner, constant, value):
+        # The orbit of {1,2,3} is the least universal one.  Either budget
+        # runs out on it, and a later universal orbit, such as that of
+        # {1,2,4}, must not be reported in its place.
+        assert has_weak_kut(build_named("AGL(1,13)"), 3) == (True, (1, 2, 3))
+        monkeypatch.setattr(owner, constant, value)
+        assert has_weak_kut(build_named("AGL(1,13)"), 3) == (None, None)
 
 
 class TestTwoGraph:

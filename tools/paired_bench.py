@@ -18,6 +18,9 @@ script prints both sides' median and quartiles, the relative change of the
 medians, and the number of pairs the change won.  It calls the metric a
 gain or a loss only when the change won (or lost) at least nine pairs in
 ten and the medians differ by more than the parent's interquartile range.
+Short of that, a metric whose parent runs spread wider than its bound, the
+interquartile range over the median, is "unresolved" unless every change
+run reads better than every parent run; the rest read "-".
 For a metric with a ``bound`` in ``BENCHMARK.json`` it also says whether
 the relative change is past that bound, and in which direction: a loss by
 the pair rule can still lie inside the bound.  Only metrics both sides
@@ -93,6 +96,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def metric_verdict(old: list[float], new: list[float], sign: int,
+                   bound: float | None) -> str:
+    """"gain", "loss", "unresolved" or "-" for one metric's paired runs.
+
+    `sign` is 1 when higher is better and -1 when lower is.
+    """
+    wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+    losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+    (oq1, omed, oq3), (_, nmed, _) = quartiles(old), quartiles(new)
+    clear = abs(nmed - omed) > oq3 - oq1
+    if wins >= WIN_SHARE * len(old) and clear and sign * (nmed - omed) > 0:
+        return "gain"
+    if losses >= WIN_SHARE * len(old) and clear and sign * (nmed - omed) < 0:
+        return "loss"
+    wide = bound is not None and oq3 - oq1 > bound * abs(omed)
+    if wide and not all(sign * (b - a) > 0 for a in old for b in new):
+        return "unresolved"
+    return "-"
+
+
 def compare(workload: str, args, seconds: float, better: dict[str, str],
             bounds: dict[str, float]) -> None:
     """Run the pairs of one workload and print its table."""
@@ -109,26 +132,19 @@ def compare(workload: str, args, seconds: float, better: dict[str, str],
         if missing:
             print(f"not reported by the {side}, not compared: {', '.join(sorted(missing))}")
     print(f"{'metric':44} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
-          f"{'change':>8} {'wins':>6}  verdict  bound")
+          f"{'change':>8} {'wins':>6}  verdict     bound")
     for name in (n for n in new_names if n in old_names):
         sign = 1 if better.get(name, "lower") == "higher" else -1
         old = [r[name] for r in runs["parent"]]
         new = [r[name] for r in runs["change"]]
         wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        losses = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         (oq1, omed, oq3), (nq1, nmed, nq3) = quartiles(old), quartiles(new)
-        clear = abs(nmed - omed) > oq3 - oq1
-        if wins >= WIN_SHARE * args.pairs and clear and sign * (nmed - omed) > 0:
-            verdict = "gain"
-        elif losses >= WIN_SHARE * args.pairs and clear and sign * (nmed - omed) < 0:
-            verdict = "loss"
-        else:
-            verdict = "-"
+        verdict = metric_verdict(old, new, sign, bounds.get(name))
         rel = (nmed - omed) / abs(omed) if omed else None
         print(f"{name:44} {omed:10.4g} [{oq1:.4g}, {oq3:.4g}]".ljust(73)
               + f" {nmed:10.4g} [{nq1:.4g}, {nq3:.4g}]".ljust(29)
               + (f" {rel:+8.1%}" if rel is not None else f" {'n/a':>8}")
-              + f" {wins:>3}/{args.pairs:<3} {verdict:7}  {bound_note(rel, sign, bounds.get(name))}")
+              + f" {wins:>3}/{args.pairs:<3} {verdict:10}  {bound_note(rel, sign, bounds.get(name))}")
     print(flush=True)
 
 
