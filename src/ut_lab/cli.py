@@ -42,7 +42,7 @@ def cmd_homog(args) -> int:
     G = resolve_group(args.group)
     report = Report(
         command=f"homog --i {args.i} --j {args.j}",
-        group_name=G.name, degree=G.degree, order=G.order, seed=args.seed,
+        group_name=G.name, degree=G.degree, order=G.order,
     )
     if args.i == args.j:
         ok = is_k_homogeneous(G, args.i)
@@ -65,7 +65,7 @@ def cmd_ut(args) -> int:
     G = resolve_group(args.group)
     report = Report(
         command=f"ut --k {args.k} --method {args.method}",
-        group_name=G.name, degree=G.degree, order=G.order, seed=args.seed,
+        group_name=G.name, degree=G.degree, order=G.order,
     )
     verdict = has_kut(G, args.k, method=args.method)
     key = f"{args.k}-ut"
@@ -86,7 +86,6 @@ def cmd_regular(args) -> int:
     G = resolve_group(args.group)
     report = Report(
         command="regular", group_name=G.name, degree=G.degree, order=G.order,
-        seed=args.seed,
     )
     if args.map:
         a = Transformation.parse(args.map)
@@ -105,7 +104,7 @@ def cmd_regular(args) -> int:
 
 def cmd_agl(args) -> int:
     t0 = time.time()
-    report = Report(command="agl", seed=args.seed)
+    report = Report(command="agl")
     if args.p is not None:
         rep = agl_criterion(args.p)
         report.group_name = f"AGL(1,{args.p})"
@@ -130,7 +129,7 @@ def cmd_agl(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    report = Report(command=f"verify --suite {args.suite}", seed=args.seed)
+    report = Report(command=f"verify --suite {args.suite}")
     results = run_suite(args.suite, emit=None if args.json else print)
     for r in results:
         report.verdicts[f"{r.cid} {r.title}"] = r.ok
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="homogeneity and universal-transversal deciders for permutation groups",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=1108, help="seed for any sampling")
     parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

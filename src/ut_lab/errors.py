@@ -24,9 +24,5 @@ class CapExceeded(UtLabError, RuntimeError):
         self.partial = partial
 
 
-class BudgetExceeded(UtLabError, RuntimeError):
-    """A decider declared the instance infeasible under its budget."""
-
-
 class MissingDataError(UtLabError, FileNotFoundError):
     """A stored-generator data file is not bundled or present on disk."""

@@ -23,7 +23,6 @@ class Report:
     methods: dict[str, str] = field(default_factory=dict)
     tables: dict[str, list] = field(default_factory=dict)
     elapsed_s: float = 0.0
-    seed: int | None = None
     error: str | None = None
 
     @property
@@ -50,7 +49,6 @@ class Report:
             "methods": self.methods,
             "tables": self.tables,
             "elapsed_s": round(self.elapsed_s, 3),
-            "seed": self.seed,
             "error": self.error,
             "exit_code": self.exit_code,
         }
@@ -71,7 +69,6 @@ class Report:
             methods=dict(data.get("methods") or {}),
             tables={k: list(v) for k, v in (data.get("tables") or {}).items()},
             elapsed_s=data.get("elapsed_s", 0.0),
-            seed=data.get("seed"),
             error=data.get("error"),
         )
 

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceeded, CapExceeded, DegreeMismatch
+from .errors import CapExceeded, DegreeMismatch
 from .partitions import SetPartition
 from . import set_orbits
 from .perm_core import PermGroup, Permutation
@@ -304,7 +304,8 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     properties coincide); method="direct" skips its shortcuts and asks
     whether every k-set orbit (which covers every image, by G-equivariance)
     has a section of every k-partition (every kernel), by the decider's
-    exact step, `ut_deciders.seeded_sweep`.
+    exact step, `ut_deciders.seeded_sweep`.  Either way an exhausted budget
+    raises CapExceeded.
     """
     from .ut_deciders import has_kut, seeded_sweep
 
@@ -314,11 +315,16 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     if method == "kut":
         verdict = has_kut(G, k)
         if verdict.holds is None:
-            raise BudgetExceeded(f"the {k}-ut decision exhausted its budget")
+            raise CapExceeded(
+                f"the {k}-ut decision exhausted its budget", verdict.detail["partial"]
+            )
         return bool(verdict.holds)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    return seeded_sweep(orbits_on_ksets(G, k), n, k) is None
+    orbits = orbits_on_ksets(G, k)
+    return seeded_sweep(
+        [o.masks for o in orbits], [o.representative for o in orbits], n, k
+    ) is None
 
 
 def quasi_regularity_classifier(

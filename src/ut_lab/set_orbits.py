@@ -369,16 +369,20 @@ def is_ij_homogeneous(
     pair (representative of the first missing i-orbit, representative of the
     first j-orbit that misses it), orbits taken in representative order.  An
     i-homogeneous group maps any i-set onto an i-subset of any j-set, so no
-    j-set orbit is walked for it.  Otherwise the j-set orbits are read from
-    the group's enumeration one at a time, so a failure leaves the rest
-    unwalked.
+    j-set orbit is walked for it.  i-homogeneity is read off the chain (an
+    m-transitive group with m >= min(i, n - i)) or off the i-set orbits,
+    which the test needs anyway, never off the complements.  Otherwise the
+    j-set orbits are read from the group's enumeration one at a time, so a
+    failure leaves the rest unwalked.
     """
     n = G.degree
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    if is_k_homogeneous(G, i):
+    if transitivity_degree(G) >= min(i, n - i):
         return True, None
     i_orbits = orbits_on_ksets(G, i)
+    if len(i_orbits) == 1:
+        return True, None
     for j_orbit in _orbits_in_order(G, j):
         rep = j_orbit.representative
         subsets = {mask_of(sub) for sub in itertools.combinations(rep, i)}
@@ -386,10 +390,3 @@ def is_ij_homogeneous(
             if i_orbit.masks.isdisjoint(subsets):
                 return False, (i_orbit.representative, rep)
     return True, None
-
-
-def order_bound_pass(G: PermGroup, k: int) -> bool:
-    """The necessary order bound |G| * k >= C(n, k), in exact integers."""
-    if not 1 <= k <= G.degree:
-        raise ValueError(f"need 1 <= k <= degree, got k={k}")
-    return G.order * k >= math.comb(G.degree, k)

@@ -1,13 +1,21 @@
 """Deciders for the k-universal transversal property.
 
 A group has the k-ut property when every orbit of k-sets contains a section
-for every partition of {1..n} into k blocks.  The dispatcher `has_kut` runs,
-in order: the large-k homogeneity equivalence, the primitivity criterion for
-k=2, the k-homogeneity sufficient condition, the necessary-condition pruners
-(order bound, (k-1,k)-homogeneity, auxiliary-graph connectivity), and finally
-`seeded_sweep`, one `partitions.first_unsectioned` search per orbit
-representative over all orbits.  That search, unseeded, is the naive
-decider, and with one orbit per seed, the subpartition extension decider.
+for every partition of {1..n} into k blocks.  The dispatcher `has_kut` runs
+one chain for every 2 <= k < n: the primitivity criterion for k=2, the
+k-homogeneity sufficient condition, the necessary-condition pruners
+((k-1,k)-homogeneity, auxiliary-graph connectivity), and finally the exact
+step.  Above the midpoint, k > (n+1)/2, k-ut is k-homogeneity: a group
+that is not k-homogeneous there fails (k-1,k)-homogeneity, so the chain
+ends before the exact step.
+
+The exact step is `seeded_sweep`, the one driver of seeded sweeps: one
+`partitions.first_unsectioned` search per k-set orbit representative,
+placed in singleton blocks, over the families it is given (every orbit
+here and in the direct rank-k question, one orbit with the other orbits'
+representatives for weak k-ut).  The extension decider runs the same
+search for one orbit and one seed, and the naive decider runs it unseeded
+over every orbit.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -42,7 +50,6 @@ from .set_orbits import (
     mask_of,
     orbit_of_set,
     orbits_on_ksets,
-    order_bound_pass,
 )
 
 # The growth rounds of `bad_partition_search_3ut` per seed vertex.
@@ -501,45 +508,21 @@ def _singletons(rep: KSet) -> SubPartition:
     return SubPartition(tuple((p,) for p in rep))
 
 
-def _extension_seeds(orbit: KSetOrbit, reps: list[KSet]):
-    """(rep, seed) for every seed the extension search needs for one orbit.
+def seeded_sweep(
+    families: list[frozenset[int]], reps: list[KSet], n: int, k: int
+) -> tuple[KSet, SetPartition, int] | None:
+    """(seed representative, partition, family index) for a k-partition
+    some family misses, unchecked, or None: one `first_unsectioned` search
+    over all the families per representative, placed in singleton blocks.
 
-    Every k-partition is equivalent under G to one whose blocks separate some
-    orbit representative (pick a section of the partition and map it to its
-    orbit representative), so seeding with each representative in singleton
-    blocks covers all partitions.  The orbit's own representative seed is
-    trivially sectioned by it and is left out.
+    Every k-partition is equivalent under G to one whose blocks separate
+    some k-set orbit representative (pick a section of the partition and
+    map it to its orbit representative).  So the representatives of every
+    orbit cover every partition; an orbit's own representative seed is
+    sectioned by that orbit, so a search for one orbit needs only the
+    others' representatives.
     """
     for rep in reps:
-        if mask_of(rep) not in orbit.masks:
-            yield rep, _singletons(rep)
-
-
-def _extension_universal(
-    G: PermGroup, k: int, orbit: KSetOrbit, reps: list[KSet]
-) -> UtVerdict:
-    """Run the extension decider for one orbit against every seed placement;
-    a failure carries its validated witness."""
-    profiles = {}
-    for rep, seed in _extension_seeds(orbit, reps):
-        verdict = subpartition_extension_decider(G, k, orbit, seed)
-        profiles[str(rep)] = verdict.detail.get("frontier_profile")
-        if verdict.holds is False:
-            verdict.detail["seed"] = rep
-            return verdict
-    return UtVerdict(True, "extension", detail={"frontier_profiles": profiles})
-
-
-def seeded_sweep(
-    orbits: tuple[KSetOrbit, ...], n: int, k: int
-) -> tuple[KSet, SetPartition, int] | None:
-    """(seed representative, partition, orbit index) for a k-partition some
-    orbit misses, unchecked, or None: one `first_unsectioned` search over all
-    orbits per representative seed, which cover every partition (see
-    `_extension_seeds`)."""
-    families = [orbit.masks for orbit in orbits]
-    for orbit in orbits:
-        rep = orbit.representative
         partition, i, _ = first_unsectioned(n, k, families, _singletons(rep))
         if partition is not None:
             return rep, partition, i
@@ -554,10 +537,12 @@ def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
     """Decide the k-universal transversal property for 2 <= k < n.
 
     method="auto" runs the dispatcher chain of this module's docstring,
-    "naive" the unseeded search alone, and "extend" one extension search
-    per orbit and seed.  Whichever runs, an exhausted budget, k-set orbits
-    (`set_orbits.DEFAULT_ORBIT_CAP`) or search nodes
-    (`partitions.FRONTIER_CAP`), gives "undecided:budget-exhausted".
+    the same chain for every k; "naive" runs the unseeded search alone, and
+    "extend" one `subpartition_extension_decider` search per orbit and
+    seed, the seeds being the other orbits' representatives.  Whichever
+    runs, an exhausted budget, k-set orbits (`set_orbits.DEFAULT_ORBIT_CAP`)
+    or search nodes (`partitions.FRONTIER_CAP`), gives
+    "undecided:budget-exhausted".
     """
     n = G.degree
     if not 2 <= k < n:
@@ -578,18 +563,7 @@ def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
 
 def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
     n = G.degree
-    # (a) above the midpoint, k-ut is exactly k-homogeneity
-    if k > (n + 1) // 2:
-        if is_k_homogeneous(G, k):
-            return UtVerdict(True, "bigk:k-homogeneous")
-        ok, pair = is_ij_homogeneous(G, k - 1, k)
-        if ok:
-            raise AssertionError("large k: not k-homogeneous yet (k-1,k)-homogeneous")
-        i_rep, j_set = pair
-        partition = singleton_tail_partition(i_rep, n)
-        return _checked_failure(G, j_set, partition, "bigk:not-homogeneous")
-
-    # (b) k = 2 is primitivity
+    # k = 2 is primitivity
     if k == 2:
         return _kut_k2_by_primitivity(G)
 
@@ -597,23 +571,23 @@ def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
     if is_k_homogeneous(G, k):
         return UtVerdict(True, "k-homogeneous")
 
-    # (c) necessary prunes, cheapest first
-    method_tag = "prune:ij-homogeneity"
-    if not order_bound_pass(G, k - 1):
-        method_tag = "prune:order-bound"
+    # necessary prunes, cheapest first; above the midpoint a group that is
+    # not k-homogeneous always fails the first
     ok, pair = is_ij_homogeneous(G, k - 1, k)
     if not ok:
         i_rep, j_set = pair
         partition = singleton_tail_partition(i_rep, n)
-        return _checked_failure(G, j_set, partition, method_tag)
+        return _checked_failure(G, j_set, partition, "prune:ij-homogeneity")
     if is_k_homogeneous(G, k - 1):
         pruned = connectivity_prune(G, k)
         if pruned is not None:
             return pruned
 
-    # (d) exact decision
+    # exact decision
     orbits = orbits_on_ksets(G, k)
-    failure = seeded_sweep(orbits, n, k)
+    failure = seeded_sweep(
+        [o.masks for o in orbits], [o.representative for o in orbits], n, k
+    )
     if failure is None:
         return UtVerdict(True, "extension")
     seed, partition, i = failure
@@ -624,15 +598,18 @@ def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
 
 def _decide_by_extension(G: PermGroup, k: int) -> UtVerdict:
     orbits = orbits_on_ksets(G, k)
-    reps = [o.representative for o in orbits]
     all_profiles = {}
     for orbit in orbits:
-        verdict = _extension_universal(G, k, orbit, reps)
-        if verdict.holds is False:
-            return verdict
-        all_profiles[str(orbit.representative)] = verdict.detail.get(
-            "frontier_profiles"
-        )
+        profiles = all_profiles[str(orbit.representative)] = {}
+        for other in orbits:
+            if other is orbit:
+                continue
+            rep = other.representative
+            verdict = subpartition_extension_decider(G, k, orbit, _singletons(rep))
+            if verdict.holds is False:
+                verdict.detail["seed"] = rep
+                return verdict
+            profiles[str(rep)] = verdict.detail["frontier_profile"]
     return UtVerdict(True, "extension", detail={"frontier_profiles": all_profiles})
 
 
@@ -649,12 +626,9 @@ def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     try:
         orbits = orbits_on_ksets(G, k)
-        reps = [o.representative for o in orbits]
         for orbit in orbits:
-            if all(
-                first_unsectioned(n, k, [orbit.masks], seed)[0] is None
-                for _, seed in _extension_seeds(orbit, reps)
-            ):
+            others = [o.representative for o in orbits if o is not orbit]
+            if seeded_sweep([orbit.masks], others, n, k) is None:
                 return True, orbit.representative
     except CapExceeded:
         return None, None

@@ -32,6 +32,7 @@ from .ut_deciders import (
     aux_graph,
     bad_partition_search_3ut,
     has_kut,
+    seeded_sweep,
     two_graph_check,
     validate_ut_witness,
 )
@@ -383,9 +384,6 @@ def criterion_12() -> tuple[bool | None, str]:
         return False, f"HS 3-set orbit sizes {sizes}"
     # the middle orbit is a regular two-graph certifying its own sections;
     # the remaining two orbits go through the extension search
-    from .ut_deciders import _extension_universal
-
-    reps = [o.representative for o in orbits]
     certified = 0
     for orbit in orbits:
         report = two_graph_check(HS, orbit)
@@ -394,9 +392,9 @@ def criterion_12() -> tuple[bool | None, str]:
                 return False, f"HS: certified orbit has lambda {report.lam}"
             certified += 1
             continue
-        verdict = _extension_universal(HS, 3, orbit, reps)
-        if verdict.holds is not True:
-            return False, f"HS orbit {orbit.representative}: {verdict.status}"
+        others = [o.representative for o in orbits if o is not orbit]
+        if seeded_sweep([orbit.masks], others, HS.degree, 3) is not None:
+            return False, f"HS orbit {orbit.representative}: fails"
     if certified != 1:
         return False, f"HS: {certified} two-graph orbits (expected exactly 1)"
     notes.append(

@@ -87,3 +87,18 @@ def test_orbit_cache_shape(lib):
     assert isinstance(cache, Mapping)
     assert isinstance(cache[G], dict) and cache[G][3] is orbits
     assert _load("spans").Tracer(lib)._orbits_pre(G, 3) is True
+
+
+def test_every_method_tag_maps_to_a_verdict_family(lib):
+    """The tracer counts a verdict under `verdict_family(method)` and drops,
+    without a word, a family outside `VERDICT_FAMILIES`."""
+    spans = _load("spans")
+    tags = set()
+    for G in lib.verify.catalog_groups(10):
+        for k in range(2, G.degree):
+            for method in ("auto", "naive", "extend"):
+                tags.add(lib.ut_deciders.has_kut(G, k, method=method).method)
+    assert {"k2:primitivity", "k-homogeneous", "prune:ij-homogeneity",
+            "naive", "extension"} <= tags
+    unmapped = {t for t in tags if spans.verdict_family(t) not in spans.VERDICT_FAMILIES}
+    assert not unmapped

@@ -19,7 +19,6 @@ from ut_lab.set_orbits import (
     mask_of,
     orbit_of_set,
     orbits_on_ksets,
-    order_bound_pass,
 )
 from ut_lab.ut_deciders import has_kut
 from ut_lab.verify import catalog_groups
@@ -279,6 +278,33 @@ class TestOneEnumeration:
         assert walked == [mask_of((1, 2, 3))]  # the one 3-set orbit
         assert 5 not in set_orbits._ENUMERATIONS.get(G, {})
 
+    def test_large_i_walks_no_complement_orbit(self, monkeypatch):
+        # AGL(1,13) is neither 4- nor 5-homogeneous.  Above the midpoint,
+        # is_ij_homogeneous reads i-homogeneity off the i-set orbits it
+        # needs anyway; the first orbit of the complements, 78 masks that
+        # nothing after it reuses, is not walked
+        from ut_lab.semigroup import quasi_regularity_classifier
+
+        walked = []
+        real = set_orbits._orbit_masks
+
+        def counting(G, start, *args):
+            masks = real(G, start, *args)
+            walked.append(len(masks))
+            return masks
+
+        monkeypatch.setattr(set_orbits, "_orbit_masks", counting)
+        for question, masks in (
+            # is_k_homogeneous(G, 8) on the complements, then every 7-set,
+            # the first 8-set orbit and the witness check
+            (lambda G: has_kut(G, 8), 78 + math.comb(13, 7) + 78 + 78),
+            (lambda G: is_ij_homogeneous(G, 8, 9), math.comb(13, 8) + 78),
+            (lambda G: quasi_regularity_classifier(G, 4), math.comb(13, 9) + 78),
+        ):
+            walked.clear()
+            question(build_named("AGL(1,13)"))
+            assert sum(walked) == masks
+
     def test_cap_leaves_the_enumeration_resumable(self, monkeypatch):
         expected = orbits_on_ksets(build_named("AGL(1,13)"), 4)
         sizes = [o.size for o in expected]
@@ -415,17 +441,6 @@ class TestIjOracle:
             assert (j in set_orbits._ORBIT_CACHE[G]) is holds
             orbits_on_ksets(G, j)
             assert is_ij_homogeneous(G, i, j) == got
-
-class TestOrderBound:
-    def test_symmetric(self):
-        assert order_bound_pass(build_named("S8"), 4)
-
-    def test_agl_1_11(self):
-        assert order_bound_pass(build_named("AGL(1,11)"), 4)
-
-    def test_agl_1_13_fails(self):
-        assert not order_bound_pass(build_named("AGL(1,13)"), 4)
-
 
 class TestClassificationSpotChecks:
     def test_ramsey_bound_on_catalog(self, catalog_small):

@@ -412,10 +412,13 @@ class TestHasKut:
     def test_bigk_equals_homogeneity(self):
         from ut_lab.set_orbits import is_k_homogeneous
 
-        for name, degree in (("C5", 5), ("PSL(2,8)", 9), ("AGL(1,7)", 7)):
-            G = build_named(name, degree)
-            for k in range((degree + 1) // 2 + 1, degree):
-                assert has_kut(G, k).holds == is_k_homogeneous(G, k), (name, k)
+        for G in catalog_groups(12):
+            n = G.degree
+            for k in range((n + 1) // 2 + 1, n):
+                verdict = has_kut(G, k)
+                assert verdict.holds == is_k_homogeneous(G, k), (G.name, k)
+                if verdict.holds is False:
+                    assert validate_ut_witness(G, verdict.witness), (G.name, k)
 
     def test_degree12_k6_table(self):
         # at degree 12 with k = 6, the property singles out the groups
@@ -462,7 +465,8 @@ class TestWeakKut:
 
 
 class TestBudgetExhausted:
-    """Every exhausted budget inside has_kut is "undecided", whatever the method."""
+    """Every exhausted budget inside has_kut is "undecided", and inside the
+    rank-k question a CapExceeded, whatever the method."""
 
     @pytest.mark.parametrize("owner,constant,value,name,k", [
         (set_orbits, "DEFAULT_ORBIT_CAP", 50, "AGL(1,13)", 4),
@@ -487,6 +491,13 @@ class TestBudgetExhausted:
         assert has_weak_kut(build_named("AGL(1,13)"), 3) == (True, (1, 2, 3))
         monkeypatch.setattr(owner, constant, value)
         assert has_weak_kut(build_named("AGL(1,13)"), 3) == (None, None)
+
+    def test_rank_k_raises_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
+        for method in ("kut", "direct"):
+            with pytest.raises(CapExceeded) as err:
+                regular_for_all_rank_k(build_named("PSL(2,13)"), 3, method=method)
+            assert err.value.partial > 1, method
 
 
 class TestTwoGraph:
