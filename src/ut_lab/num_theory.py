@@ -124,14 +124,15 @@ def sieve_problem1(limit: int, threads: int = 1) -> list[SieveRow]:
     """For every prime p = 11 (mod 12) up to `limit`: verdict and minimal witness.
 
     These are exactly the primes the sixth-root and consecutive-residue
-    shortcuts leave open, so each one needs the full criterion scan.
+    shortcuts leave open, so each one needs the criterion scan, which stops
+    at the minimal witness: its order is the only one a row reports.
     """
     if limit < 11:
         return []
     targets = [p for p in primes_up_to(limit) if p % 12 == 11]
 
     def row(p: int) -> SieveRow:
-        rep = agl_criterion(p)
+        rep = agl_criterion(p, stop_early=True)
         w = rep.min_witness
         return SieveRow(p, rep.verdict, w, rep.orders.get(w) if w else None)
 

@@ -24,8 +24,6 @@ partition) that is re-validated by exhaustive check before being returned;
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -54,9 +52,6 @@ from .set_orbits import (
 
 # The growth rounds of `bad_partition_search_3ut` per seed vertex.
 GROWTH_ROUNDS = 64
-# `two_graph_check` samples this many 4-sets, from this seed, above degree 30.
-TWO_GRAPH_SAMPLES = 100_000
-TWO_GRAPH_SEED = 1108
 
 
 @dataclass(frozen=True)
@@ -170,6 +165,18 @@ def _kut_k2_by_primitivity(G: PermGroup) -> UtVerdict:
 # Auxiliary graphs
 
 
+def _bfs_distances(adj: dict[int, list[int]], sources) -> dict[int, int]:
+    dist = {s: 0 for s in sources}
+    queue = deque(sources)
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 @dataclass(frozen=True)
 class AuxGraph:
     """Graph on {1..n} minus base: pairs completing the base into a fixed orbit."""
@@ -193,15 +200,8 @@ class AuxGraph:
         for v in self.vertices:
             if v in seen:
                 continue
-            comp = {v}
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
+            comp = _bfs_distances(adj, [v])
+            seen.update(comp)
             out.append(tuple(sorted(comp)))
         out.sort(key=lambda c: c[0])
         return out
@@ -237,6 +237,31 @@ def _graph_from_orbit(orbit: KSetOrbit, base: KSet, apex: int, n: int) -> AuxGra
     return AuxGraph(base, apex, vertices, frozenset(edges))
 
 
+class _PairIndex:
+    """For a fixed 3-set orbit: b -> list of pairs {x,y} with {x,y,b} in orbit.
+
+    The gamma graphs, the growth diagnostic's graphs and the two-graph test
+    are all read off it.
+    """
+
+    def __init__(self, orbit: KSetOrbit, n: int):
+        self.pairs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+        for m in orbit.masks:
+            a, b, c = kset_of_mask(m)
+            self.pairs[a].append((b, c))
+            self.pairs[b].append((a, c))
+            self.pairs[c].append((a, b))
+
+    def gamma(self, C: set[int], apex: int) -> AuxGraph:
+        """The graph on the points outside C whose edges {x, y} complete
+        some b in C into the orbit."""
+        vertices = tuple(v for v in self.pairs if v not in C)
+        edges = frozenset(
+            pair for b in C for pair in self.pairs[b] if C.isdisjoint(pair)
+        )
+        return AuxGraph(tuple(sorted(C)), apex, vertices, edges)
+
+
 def gamma_graph(G: PermGroup, C, c: int) -> AuxGraph:
     """Union over b in C of the pair-graphs G(b, c), restricted outside C."""
     if not is_k_homogeneous(G, 2):
@@ -244,15 +269,7 @@ def gamma_graph(G: PermGroup, C, c: int) -> AuxGraph:
     C_set = set(as_kset(C, G.degree))
     if c in C_set or c in (1, 2):
         raise ValueError("apex must avoid C and {1, 2}")
-    orbit = orbit_of_set(G, (1, 2, c))
-    vertices = tuple(v for v in range(1, G.degree + 1) if v not in C_set)
-    edges = set()
-    for member in orbit.members:
-        inside = [p for p in member if p in C_set]
-        if len(inside) == 1:
-            x, y = (p for p in member if p not in C_set)
-            edges.add((x, y) if x < y else (y, x))
-    return AuxGraph(tuple(sorted(C_set)), c, vertices, frozenset(edges))
+    return _PairIndex(orbit_of_set(G, (1, 2, c)), G.degree).gamma(C_set, c)
 
 
 def connectivity_prune(G: PermGroup, k: int) -> UtVerdict | None:
@@ -308,55 +325,17 @@ class SeedReport:
     note: str = ""
 
 
-class _PairIndex:
-    """For a fixed 3-set orbit: b -> list of pairs {x,y} with {x,y,b} in orbit."""
-
-    def __init__(self, orbit: KSetOrbit, n: int):
-        self.pairs: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
-        for a, b, c in orbit.members:
-            self.pairs[a].append((b, c))
-            self.pairs[b].append((a, c))
-            self.pairs[c].append((a, b))
-
-
-def _bfs_distances(adj: dict[int, list[int]], sources) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def _sides_connected(
-    index: _PairIndex, C: set[int], allowed: set[int], A: set[int], Ap: set[int]
+    index: _PairIndex, apex: int, C: set[int], A: set[int], Ap: set[int]
 ) -> bool:
-    """Are A and A' joined, within the allowed vertices, by middle-block edges?
+    """Are A and A' joined, outside C, by middle-block edges?
 
     An edge {x, y} exists when {x, b, y} lies in the orbit for some b in C.
     """
     if A & Ap:
         return True
-    adj: dict[int, list[int]] = {v: [] for v in allowed}
-    for b in C:
-        for x, y in index.pairs[b]:
-            if x in allowed and y in allowed:
-                adj[x].append(y)
-                adj[y].append(x)
-    seen = set(A & allowed)
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        if u in Ap:
-            return True
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return bool(seen & Ap)
+    adj = index.gamma(C, apex).adjacency()
+    return not _bfs_distances(adj, A - C).keys().isdisjoint(Ap)
 
 
 def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
@@ -378,10 +357,7 @@ def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
     orbit = orbit_of_set(G, (1, 2, c))
     index = _PairIndex(orbit, n)
     # the base graph on {1..n-1}: pairs completing {n} into the orbit
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n)}
-    for x, y in index.pairs[n]:
-        adj[x].append(y)
-        adj[y].append(x)
+    adj = index.gamma({n}, c).adjacency()
     dist1 = _bfs_distances(adj, [1])
     if len(dist1) < n - 1:
         raise ValueError("the base graph G(n, c) must be connected")
@@ -389,12 +365,12 @@ def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
     reports = []
     for y in sorted(v for v, dv in dist1.items() if dv == d and v != 1):
         reports.append(
-            _grow_candidate(G, orbit, index, adj, dist1, y, d, n)
+            _grow_candidate(G, orbit, index, c, adj, dist1, y, d, n)
         )
     return reports
 
 
-def _grow_candidate(G, orbit, index, adj, dist1, y, d, n) -> SeedReport:
+def _grow_candidate(G, orbit, index, c, adj, dist1, y, d, n) -> SeedReport:
     A = {1}
     Ap = {y}
     C = {n}
@@ -429,15 +405,14 @@ def _grow_candidate(G, orbit, index, adj, dist1, y, d, n) -> SeedReport:
                     return SeedReport(y, d, "connected", rounds, note="forced overlap")
                 pool.add(third)
                 changed = True
-        avail = set(range(1, n + 1)) - C
         # (3) the sides landing in one component of the current graph ends
         # the growth: the candidate triple cannot stay section-free
-        if _sides_connected(index, C, avail, A, Ap):
+        if _sides_connected(index, c, C, A, Ap):
             return SeedReport(y, d, "connected", rounds)
         # (4) a point whose move into C would join the sides must stay out of C
-        unclassified = avail - A - Ap - pool
+        unclassified = set(range(1, n + 1)) - C - A - Ap - pool
         for x in sorted(unclassified):
-            if _sides_connected(index, C | {x}, avail - {x}, A, Ap):
+            if _sides_connected(index, c, C | {x}, A, Ap):
                 pool.add(x)
                 changed = True
         committed = A | Ap | pool
@@ -643,43 +618,57 @@ def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
 class TwoGraphReport:
     lam: int
     certifies_sections: bool
-    exhaustive: bool
 
 
 def two_graph_check(G: PermGroup, orbit: KSetOrbit) -> TwoGraphReport | None:
     """Check a 3-set orbit for the regular two-graph property and certify.
 
     Returns None unless every pair lies in a constant number lambda of orbit
-    members and every 4-set contains an even number of them (exhaustive for
-    n <= 30, TWO_GRAPH_SAMPLES seeded samples above).  When n/3 - 2 < lambda < 2n/3 the two-graph
-    argument rules out section-free 3-partitions for this orbit.
+    members and every 4-set contains an even number of them.  The test is
+    exact.  It rests on Seidel's fact that a two-graph is the set of 3-sets
+    holding an odd number of edges of any of its descendants, one of which
+    is the pair graph at n: the graph on {1..n-1} whose edges {x, y}
+    complete {n} into the orbit.  So the orbit is a two-graph iff its
+    members are exactly the odd 3-sets of that graph (those through n being
+    its edges).  When n/3 - 2 < lambda < 2n/3 the two-graph argument rules
+    out section-free 3-partitions for this orbit.
     """
     if orbit.k != 3:
         raise ValueError("two-graph checks apply to 3-set orbits")
     if not is_transitive(G):
         raise ValueError("the group must be transitive")
     n = G.degree
-    counts: Counter[tuple[int, int]] = Counter()
-    members = orbit.members
-    for a, b, c in members:
-        counts[(a, b)] += 1
-        counts[(a, c)] += 1
-        counts[(b, c)] += 1
-    values = set(counts.values())
-    if len(values) != 1 or len(counts) != math.comb(n, 2):
-        return None
-    lam = values.pop()
-    if n <= 30:
-        quads = itertools.combinations(range(1, n + 1), 4)
-        exhaustive = True
-    else:
-        rng = random.Random(TWO_GRAPH_SEED)
-        pts = list(range(1, n + 1))
-        quads = (tuple(sorted(rng.sample(pts, 4))) for _ in range(TWO_GRAPH_SAMPLES))
-        exhaustive = False
-    for quad in quads:
-        inside = sum(1 for tri in itertools.combinations(quad, 3) if tri in members)
-        if inside % 2:
+    index = _PairIndex(orbit, n)
+    lams: set[int] = set()
+    for pairs in index.pairs.values():
+        counts = Counter(itertools.chain.from_iterable(pairs))
+        if len(counts) != n - 1:
             return None
+        lams.update(counts.values())
+    if len(lams) != 1:
+        return None
+    (lam,) = lams
+    # nbr[x]: the neighbours of x in the pair graph at n, as a point mask
+    nbr = [0] * n
+    for x, y in index.pairs[n]:
+        nbr[x] |= 1 << (y - 1)
+        nbr[y] |= 1 << (x - 1)
+    below_n = (1 << (n - 1)) - 1
+    # every odd 3-set must be a member, and the members off n no more
+    odd = 0
+    for x in range(1, n - 1):
+        for y in range(x + 1, n - 1):
+            # the z in (y, n) for which {x, y, z} holds an odd number of edges
+            zs = nbr[x] ^ nbr[y] ^ (below_n if nbr[x] >> (y - 1) & 1 else 0)
+            zs = zs >> y << y & below_n
+            odd += zs.bit_count()
+            xy = 1 << (x - 1) | 1 << (y - 1)
+            while zs:
+                z = zs & -zs
+                if xy | z not in orbit.masks:
+                    return None
+                zs ^= z
+    if odd != orbit.size - len(index.pairs[n]):
+        return None
     certified = (3 * lam > n - 6) and (3 * lam < 2 * n)
-    return TwoGraphReport(lam, certified, exhaustive)
+    return TwoGraphReport(lam, certified)

@@ -335,8 +335,9 @@ def criterion_11() -> tuple[bool | None, str]:
 
 def criterion_12() -> tuple[bool | None, str]:
     """Long/optional targets: the degree-64 growth procedure, the
-    Higman-Sims orbit data (when bundled), and the degree-9 non-regular
-    semigroup witness."""
+    Higman-Sims 3-ut property (when the data is bundled) from an exact
+    two-graph certificate and the extension search, and the degree-9
+    non-regular semigroup witness."""
     notes = []
     # degree-64: every seed of every apex must terminate "connected"
     G64 = build_named("2^6:U3(3)")
@@ -382,8 +383,8 @@ def criterion_12() -> tuple[bool | None, str]:
     sizes = sorted(o.size for o in orbits)
     if sizes != [61600, 369600, 462000]:
         return False, f"HS 3-set orbit sizes {sizes}"
-    # the middle orbit is a regular two-graph certifying its own sections;
-    # the remaining two orbits go through the extension search
+    # the middle orbit is a regular two-graph certifying its own sections,
+    # checked exactly; the remaining two orbits go through the extension search
     certified = 0
     for orbit in orbits:
         report = two_graph_check(HS, orbit)
@@ -398,8 +399,8 @@ def criterion_12() -> tuple[bool | None, str]:
     if certified != 1:
         return False, f"HS: {certified} two-graph orbits (expected exactly 1)"
     notes.append(
-        "HS: 3 orbits (61600/369600/462000); lambda=72 two-graph certificate "
-        "plus extension search give the 3-ut property"
+        "HS: 3 orbits (61600/369600/462000); exact lambda=72 two-graph "
+        "certificate plus extension search give the 3-ut property"
     )
     return True, "; ".join(notes)
 

@@ -11,6 +11,8 @@ or of every completion of a seed;
 witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
 Schreier generator of a dirty level; `closure_regular_unpruned`, the
 closure search for a regularity witness through products of every rank;
+`brute_two_graph`, the 4-set parity scan that the regular two-graph
+test was before it read the members off one descendant graph;
 `bfs_is_k_homogeneous`, the full orbit walk that k-homogeneity was before
 the stabilizer chain answered it; `closure_block_system`, the all-beta
 congruence closure that primitivity was before 2-transitive groups were
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 
 def s3_cayley_table() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
@@ -422,3 +425,18 @@ def point_byte_tables(images: tuple[int, ...], n: int) -> tuple[tuple[int, ...],
             table[v] = table[v ^ low] | 1 << (images[c + low.bit_length() - 1] - 1)
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def brute_two_graph(n: int, members) -> int | None:
+    """lambda when the 3-sets `members` (sorted tuples) form a regular
+    two-graph on {1..n}, else None: every pair lies in lambda members, and
+    every one of the C(n, 4) 4-sets holds an even number of them."""
+    members = set(members)
+    counts = Counter(pair for tri in members for pair in itertools.combinations(tri, 2))
+    values = set(counts.values())
+    if len(values) != 1 or len(counts) != math.comb(n, 2):
+        return None
+    for quad in itertools.combinations(range(1, n + 1), 4):
+        if sum(tri in members for tri in itertools.combinations(quad, 3)) % 2:
+            return None
+    return values.pop()

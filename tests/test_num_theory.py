@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ut_lab.catalog import agl1_index2_subgroup, build_named
 from ut_lab.num_theory import (
+    SieveRow,
     agl_criterion,
     consecutive_qr_shortcut,
     primes_up_to,
@@ -95,6 +96,14 @@ class TestSieve:
 
     def test_threads_agree(self):
         assert sieve_problem1(150, threads=2) == sieve_problem1(150)
+
+    def test_rows_match_full_table(self):
+        rows = sieve_problem1(300)
+        assert [row.p for row in rows] == [p for p in range(11, 301, 12) if all(p % d for d in range(2, p))]
+        for row in rows:
+            full = agl_criterion(row.p)
+            w = full.min_witness
+            assert row == SieveRow(row.p, full.verdict, w, full.orders[w] if w else None)
 
 
 class TestCrossModule:
