@@ -119,7 +119,7 @@ def cmd_agl(args) -> int:
             f"c={c}\torder={order}" for c, order in sorted(rep.orders.items())
         ]
     elif args.sieve_limit is not None:
-        rows = sieve_problem1(args.sieve_limit, threads=args.threads)
+        rows = sieve_problem1(args.sieve_limit)
         report.tables["p\tverdict\tmin_witness_c\torder"] = [r.as_text() for r in rows]
         report.verdicts["all primes = 11 mod 12 decided"] = True
     else:
@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="homogeneity and universal-transversal deciders for permutation groups",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("homog", help="decide (i,j)-homogeneity")

@@ -3,7 +3,9 @@
 A partition is canonical when every block is sorted ascending and blocks are
 ordered by their least element; two partitions are equal iff their canonical
 forms are equal.  Enumeration follows restricted-growth-string order, so the
-stream itself is canonical and deterministic.
+stream itself is canonical and deterministic.  One rule, `_next_blocks`,
+gives the blocks each point may take, for the enumeration and for the
+partition search alike.
 """
 from __future__ import annotations
 
@@ -114,44 +116,33 @@ def stirling2(n: int, k: int) -> int:
     return total // math.factorial(k)
 
 
+def _next_blocks(left: int, opened: int, k: int) -> range:
+    """The blocks the next point may take, in restricted-growth order.
+
+    With `opened` blocks open and `left` points still to place, this one
+    included, the point joins an open block or opens the next one, as long
+    as the points left can still open all k blocks.
+    """
+    return range(0 if left > k - opened else opened, min(opened + 1, k))
+
+
 def _rgs_stream(n: int, k: int) -> Iterator[list[int]]:
-    # Restricted growth strings a[0..n-1] with a[0] = 0, a[i] <= max(a[:i]) + 1,
-    # using exactly k distinct values, in lexicographic order.  The yielded
-    # list is reused between iterations; callers must not hold on to it.
+    # Restricted growth strings a[0..n-1] (a[i] is the block of point i+1)
+    # using exactly k values, in lexicographic order.  The yielded list is
+    # reused between iterations; callers must not hold on to it.
     if k < 1 or k > n:
         return
     a = [0] * n
-    mx = [0] * n  # mx[i] = max(a[:i+1])
-    # Lexicographically first string: zeros, then the forced ramp 1..k-1.
-    for j in range(k - 1):
-        a[n - (k - 1) + j] = j + 1
-    for i in range(1, n):
-        mx[i] = max(mx[i - 1], a[i])
-    while True:
-        yield a
-        # Find the rightmost position that can be incremented and still
-        # leave room to reach k values.
-        i = n - 1
-        while i >= 1:
-            v = a[i] + 1
-            if v <= mx[i - 1] + 1 and v <= k - 1:
-                new_mx = max(mx[i - 1], v)
-                if (k - 1 - new_mx) <= (n - 1 - i):
-                    break
-            i -= 1
-        if i == 0:
+
+    def fill(i: int, opened: int) -> Iterator[list[int]]:
+        if i == n:
+            yield a
             return
-        a[i] = v
-        mx[i] = max(mx[i - 1], v)
-        # Minimal feasible suffix: zeros, then the forced ramp up to k-1.
-        hi = mx[i]
-        ramp = k - 1 - hi  # new values still needed
-        for j in range(i + 1, n - ramp):
-            a[j] = 0
-            mx[j] = mx[j - 1]
-        for t, j in enumerate(range(n - ramp, n)):
-            a[j] = hi + 1 + t
-            mx[j] = a[j]
+        for v in _next_blocks(n - i, opened, k):
+            a[i] = v
+            yield from fill(i + 1, opened + (v == opened))
+
+    yield from fill(0, 0)
 
 
 def _blocks_of_rgs(a: Sequence[int], k: int) -> list[list[int]]:
@@ -182,14 +173,17 @@ def first_unsectioned(
     """The first k-partition of {1..n} that some family does not section.
 
     A family is a collection of k-set masks (bit p-1 set iff point p is in
-    the set), such as one k-set orbit.  The unplaced points go in ascending
-    order, depth first.  Without a seed the blocks open in restricted-growth
-    order, so leaves come in the order of `enumerate_kpartitions`; with one,
-    only completions of its k blocks are searched, each point trying blocks
-    0..k-1 in turn.  Once all k blocks are open, each family with no section
-    yet is probed for one through the point just placed, and a subtree in
-    which every family has one is skipped.  A family holding all C(n, k)
-    k-sets is never probed.
+    the set), such as one k-set orbit.  One recursion places the unplaced
+    points in ascending order, depth first, each taking the blocks
+    `_next_blocks` allows.  Without a seed the blocks open in
+    restricted-growth order, so leaves come in the order of
+    `enumerate_kpartitions`; a seed's k blocks are all open from the start,
+    so only its completions are searched, each point trying blocks 0..k-1
+    in turn.  A block that is still empty has no section, so no family is
+    probed until all k blocks are open; from then on each family with no
+    section yet is probed for one through the point just placed, and a
+    subtree in which every family has one is skipped.  A family holding all
+    C(n, k) k-sets is never probed.
 
     Returns the first leaf some family misses, the index of the first such
     family, and the profile: the nodes met per level that some family has
@@ -214,7 +208,7 @@ def first_unsectioned(
     families = [frozenset(f) for f in families]
     live = [
         masks for masks in families
-        if len(masks) < math.comb(n, k) and not (seed is not None and _has_section(masks, bits))
+        if len(masks) < math.comb(n, k) and not _has_section(masks, bits)
     ]
     # A search for one family skips building lists of families.
     lone = len(live) == 1
@@ -226,60 +220,45 @@ def first_unsectioned(
         err.profile = profile[:depth + 1]  # type: ignore[attr-defined]
         return err
 
-    # Both return the families in `live` that miss the first leaf below,
-    # which is left in `bits`, or None.
-    def open_blocks(depth: int, opened: int) -> list[frozenset[int]] | None:
-        # Fewer than k blocks are open, so no family has a section yet.
-        profile[depth] += 1
-        if profile[depth] > cap:
-            raise overflow(depth)
-        x = rest[depth]
-        # Existing blocks only while the points left can open the rest.
-        for v in range(0 if last - depth > k - opened else opened, opened + 1):
-            block = bits[v]
-            block.append(x)
-            if v < k - 1:
-                found = open_blocks(depth + 1, opened + (v == opened))
-            else:
-                left = [masks for masks in live if not _has_section(masks, bits)]
-                found = extend(depth + 1, left) if left else None
-            if found:
-                return found
-            block.pop()
-        return None
-
-    def extend(depth: int, live: list[frozenset[int]]) -> list[frozenset[int]] | None:
-        # All k blocks are open, and no family in `live` has a section.
+    def search(depth: int, opened: int, live: list[frozenset[int]]) -> list[frozenset[int]] | None:
+        # No family in `live` has a section of the node.  Returns those
+        # that miss the first leaf below, which is left in `bits`, or None.
         profile[depth] += 1
         if profile[depth] > cap:
             raise overflow(depth)
         if depth == last:
             return live
         x = rest[depth]
-        for v, block in enumerate(bits):
-            # The parent has no section, so the child has one iff some
-            # member through x meets every other block.
-            bits[v] = [x]
-            if lone:
-                left = () if _has_section(live[0], bits) else live
+        # With all k blocks open every block is allowed; a seeded search
+        # stays there, so it skips building the range.
+        if opened == k:
+            choices = enumerate(bits)
+        else:
+            allowed = _next_blocks(last - depth, opened, k)
+            choices = zip(allowed, bits[allowed.start:allowed.stop])
+        for v, block in choices:
+            if opened < k and v < k - 1:
+                # A block is still empty, so no family has a section.
+                left = live
             else:
-                left = [masks for masks in live if not _has_section(masks, bits)]
-            bits[v] = block
-            if not left:
-                continue
+                # The parent has no section, so the child has one iff some
+                # member through x meets every other block.
+                bits[v] = [x]
+                if lone:
+                    left = () if _has_section(live[0], bits) else live
+                else:
+                    left = [masks for masks in live if not _has_section(masks, bits)]
+                bits[v] = block
+                if not left:
+                    continue
             block.append(x)
-            found = extend(depth + 1, left)
+            found = search(depth + 1, opened + (v == opened), left)
             if found:
                 return found
             block.pop()
         return None
 
-    if not live:
-        found = None
-    elif seed is None:
-        found = open_blocks(0, 0)
-    else:
-        found = extend(0, live)
+    found = search(0, 0 if seed is None else k, live) if live else None
     if found is None:
         return None, None, [count for count in profile if count] + [0]
     partition = SetPartition.of([b.bit_length() for b in block] for block in bits)

@@ -307,16 +307,15 @@ class _StabChain:
 class PermGroup:
     """A permutation group of degree n given by generators.
 
-    The order and stabilizer chain are computed lazily and cached; the group
-    is treated as immutable after construction and is safe to share between
-    threads for reads.
+    The stabilizer chain is computed lazily and cached, and the order is
+    read off it; the group is treated as immutable after construction and
+    is safe to share between threads for reads.
     """
 
     degree: int
     generators: tuple[Permutation, ...]
     name: str | None = None
     _chain: _StabChain | None = field(default=None, repr=False, compare=False)
-    _cached_order: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.generators:
@@ -347,9 +346,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        if self._cached_order is None:
-            self._cached_order = self.chain.order()
-        return self._cached_order
+        return self.chain.order()
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

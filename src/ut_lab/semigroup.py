@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapExceeded, DegreeMismatch
 from .partitions import SetPartition
 from . import set_orbits
-from .perm_core import PermGroup, Permutation
+from .perm_core import PermGroup, Permutation, _mult
 from .set_orbits import (
     KSet,
     _orbit_masks,
@@ -103,8 +103,7 @@ class QuasiPermutation(Transformation):
 
     def __post_init__(self):
         super().__post_init__()
-        big = sum(1 for b in self.kernel().blocks if len(b) > 1)
-        if big > 1:
+        if not is_quasi_permutation(self):
             raise ValueError("a quasi-permutation has at most one big kernel class")
 
 
@@ -117,10 +116,6 @@ def t_compose(a: Transformation, b: Transformation) -> Transformation:
     if a.degree != b.degree:
         raise DegreeMismatch(f"degrees differ: {a.degree} vs {b.degree}")
     return Transformation(tuple(b.images[x - 1] for x in a.images))
-
-
-def _t_mult(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(b[x - 1] for x in a)
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ def _closure_tuples(
     while queue:
         t = queue.popleft()
         for g in raw:
-            for prod in (_t_mult(t, g), _t_mult(g, t)):
+            for prod in (_mult(t, g), _mult(g, t)):
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded("semigroup closure cap exceeded", len(seen))
@@ -209,7 +204,7 @@ def is_regular_semigroup(
     for _ in range(min(CLOSURE_CHECKS, len(elements) ** 2)):
         x = rng.choice(elements)
         y = rng.choice(elements)
-        if _t_mult(x, y) not in universe:
+        if _mult(x, y) not in universe:
             raise ValueError("input is not closed under composition")
     regular = _regularity_test(elements)
     for b in elements:
@@ -260,7 +255,7 @@ def regular_in_closure(a: Transformation, G: PermGroup) -> bool:
     rank = a.rank
 
     def is_witness(c: tuple[int, ...]) -> bool:
-        return _t_mult(_t_mult(target, c), target) == target
+        return _mult(_mult(target, c), target) == target
 
     seen: set[tuple[int, ...]] = set(raw)
     for c in raw:
@@ -270,7 +265,7 @@ def regular_in_closure(a: Transformation, G: PermGroup) -> bool:
     while queue:
         t = queue.popleft()
         for g in raw:
-            for prod in (_t_mult(t, g), _t_mult(g, t)):
+            for prod in (_mult(t, g), _mult(g, t)):
                 if prod not in seen:
                     if len(seen) >= cap:
                         raise CapExceeded("closure cap exceeded", len(seen))

@@ -2,8 +2,8 @@
 
 A k-set is a bitmask inside this module (bit p-1 set iff point p is in the
 set) and a sorted tuple of 1-based points at the API boundary.  An orbit
-holds its member masks, its size and its representative; the member tuples
-are made only on request.
+holds its member masks, its size and its representative; `kset_of_mask`
+turns a mask back into its point tuple.
 
 There is one enumeration of the k-set orbits per group and k: k-sets in
 lexicographic order, each unseen one starting the next orbit, so orbit
@@ -97,11 +97,6 @@ class KSetOrbit:
     @property
     def k(self) -> int:
         return len(self.representative)
-
-    @property
-    def members(self) -> frozenset[KSet]:
-        """The members as sorted point tuples, rebuilt on every access."""
-        return frozenset(kset_of_mask(m) for m in self.masks)
 
     def __contains__(self, item: Iterable[int]) -> bool:
         pts = tuple(item)

@@ -6,7 +6,7 @@ exceptions are the slower searches that the library replaced, kept here as
 the reference the replacements must agree with: `scan_first_unsectioned`,
 the plain scan of every partition, built on the library's RGS enumerator,
 or of every completion of a seed;
-`bfs_extension`, the breadth-first subpartition extension search;
+`bfs_extension`, the breadth-first partition search, unseeded or seeded;
 `scan_regular_inside`, the scan of a whole semigroup for a regularity
 witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
 Schreier generator of a dirty level; `closure_regular_unpruned`, the
@@ -188,33 +188,50 @@ def _sectioned(masks, blocks) -> bool:
     return any(all(m & b for b in block_masks) for m in masks)
 
 
-def bfs_extension(masks, n: int, seed_blocks):
-    """Breadth-first subpartition extension search for one k-set orbit.
+def bfs_extension(families, n: int, seed_blocks):
+    """Breadth-first partition search over families of k-set masks.
 
-    Places the unplaced points of {1..n} in ascending order, each into
-    every block in turn, and keeps the children no member of `masks`
-    sections.  Returns (the first full partition of the last level as a
-    block tuple, or None when a level empties; the frontier size per
-    level, seed level first).
+    `seed_blocks` are the k blocks at the root, some or all of them empty.
+    The unplaced points of {1..n} go in ascending order, each into every
+    nonempty block in turn and then into the first empty one, as long as
+    the points left can still fill every empty block; the children that
+    some family does not section are kept.  So k empty blocks give the
+    partitions in restricted-growth order, and k nonempty ones every
+    completion of the seed.  A block that is still empty has no section,
+    and a family of all C(n, k) k-sets, which sections every partition, is
+    left out.  Returns (the first full partition of the last level as a
+    block tuple, or None when a level empties; the index of the first
+    family that misses it, or None; the frontier size per level, seed
+    level first).
     """
+    k = len(seed_blocks)
+    kept = [(i, set(f)) for i, f in enumerate(families) if len(set(f)) < math.comb(n, k)]
+
+    def missed(blocks):
+        return [i for i, masks in kept if not _sectioned(masks, blocks)]
+
     placed = {p for b in seed_blocks for p in b}
+    free = [p for p in range(1, n + 1) if p not in placed]
     start = tuple(tuple(b) for b in seed_blocks)
-    frontier = [] if _sectioned(masks, start) else [start]
+    frontier = [start] if missed(start) else []
     profile = [len(frontier)]
-    for x in range(1, n + 1):
+    for depth, x in enumerate(free):
         if not frontier:
             break
-        if x in placed:
-            continue
-        frontier = [
-            child
-            for blocks in frontier
-            for i in range(len(blocks))
-            for child in [blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]]
-            if not _sectioned(masks, child)
-        ]
+        left = len(free) - depth - 1  # points still unplaced after x
+        children = []
+        for blocks in frontier:
+            empty = [i for i, b in enumerate(blocks) if not b]
+            for i, b in enumerate(blocks):
+                if (b and len(empty) > left) or (not b and i != empty[0]):
+                    continue
+                child = blocks[:i] + (b + (x,),) + blocks[i + 1:]
+                if missed(child):
+                    children.append(child)
+        frontier = children
         profile.append(len(frontier))
-    return (frontier[0] if frontier else None), profile
+    first = frontier[0] if frontier else None
+    return first, (missed(first)[0] if first else None), profile
 
 
 def scan_regular_inside(b: tuple[int, ...], elements) -> bool:

@@ -21,7 +21,7 @@ from ut_lab.partitions import (
 
 from ut_lab.set_orbits import orbits_on_ksets
 
-from _oracles import scan_first_unsectioned, stirling_recurrence
+from _oracles import bfs_extension, scan_first_unsectioned, stirling_recurrence
 
 
 class TestEnumeration:
@@ -41,6 +41,20 @@ class TestEnumeration:
         for k in range(1, n + 1):
             count = sum(1 for _ in enumerate_kpartitions(n, k))
             assert count == stirling_recurrence(n, k) == stirling2(n, k)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stream_is_lexicographic_rgs(self, n):
+        # The restricted growth strings over k values, filtered out of a
+        # product in lexicographic order.  Position i of such a string
+        # holds at most i, so the product draws it from range(i + 1) only.
+        for k in range(1, n + 1):
+            strings = [
+                a for a in itertools.product(*(range(min(i + 1, k)) for i in range(n)))
+                if len(set(a)) == k and all(a[i] <= max(a[:i]) + 1 for i in range(1, n))
+            ]
+            want = [tuple(tuple(i + 1 for i in range(n) if a[i] == v) for v in range(k))
+                    for a in strings]
+            assert [p.blocks for p in enumerate_kpartitions(n, k)] == want, (n, k)
 
     def test_distinct_and_canonical(self):
         seen = set()
@@ -183,6 +197,34 @@ class TestFirstUnsectioned:
                     got = search(n, k, families, seed)
                     want = scan_first_unsectioned(n, k, families, seed.blocks)
                     assert got == want, (G.name, n, k, orbit.representative)
+
+    def test_matches_breadth_first(self, catalog_small):
+        # All orbits of every 2 <= k < n, searched unseeded, as the naive
+        # decider does, and from each representative, as the all-orbit
+        # sweep does.  A holding search meets the same nodes per level as
+        # the breadth-first one (counted when it meets any).  A failing one
+        # stops at the breadth-first search's first leaf and family; that
+        # is checked to degree 8, as above it the frontiers take seconds.
+        holds = fails = 0
+        for G in catalog_small:
+            n = G.degree
+            for k in range(2, n):
+                orbits = orbits_on_ksets(G, k)
+                families = [orbit.masks for orbit in orbits]
+                seeds = [None] + [SubPartition.of([(p,) for p in orbit.representative])
+                                  for orbit in orbits]
+                for seed in seeds:
+                    blocks = ((),) * k if seed is None else seed.blocks
+                    partition, i, profile = first_unsectioned(n, k, families, seed)
+                    key = (G.name, n, k, blocks)
+                    if partition is None:
+                        holds += profile != [0]
+                        assert bfs_extension(families, n, blocks) == (None, None, profile), key
+                    elif n <= 8:
+                        fails += 1
+                        first, j, _ = bfs_extension(families, n, blocks)
+                        assert (partition, i) == (SetPartition.of(first), j), key
+        assert holds > 70 and fails > 60
 
     def test_random_families(self):
         # Families of k-sets that are no group's orbits: sparse ones fail

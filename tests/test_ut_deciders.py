@@ -11,7 +11,7 @@ from ut_lab import partitions
 from ut_lab.partitions import SetPartition, SubPartition, _has_section
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
 from ut_lab import set_orbits
-from ut_lab.set_orbits import KSetOrbit, mask_of, orbit_of_set, orbits_on_ksets
+from ut_lab.set_orbits import KSetOrbit, kset_of_mask, mask_of, orbit_of_set, orbits_on_ksets
 from ut_lab.verify import catalog_groups
 from ut_lab.semigroup import regular_for_all_rank_k
 from ut_lab.ut_deciders import (
@@ -132,7 +132,7 @@ class TestAuxGraph:
         graph = aux_graph(G, B=(1,), c=3)
         orbit = orbit_of_set(G, (1, 2, 3))
         for x, y in itertools.islice(graph.edges, 12):
-            assert tuple(sorted((1, x, y))) in orbit.members
+            assert (1, x, y) in orbit
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -214,7 +214,7 @@ class TestExtensionDecider:
         other = next(
             o.representative
             for o in orbits_on_ksets(G, 3)
-            if o.representative not in bad_orbit.members
+            if o.representative not in bad_orbit
         )
         verdict = subpartition_extension_decider(
             G, 3, bad_orbit, SubPartition.of([(p,) for p in other])
@@ -293,12 +293,12 @@ class TestExtensionOracle:
                     key = (G.name, n, k, orbit.representative, other.representative)
                     if verdict.holds:
                         holds += 1
-                        first, profile = bfs_extension(orbit.masks, n, seed.blocks)
+                        first, _, profile = bfs_extension([orbit.masks], n, seed.blocks)
                         assert first is None, key
                         assert verdict.detail["frontier_profile"] == profile, key
                     elif n <= 9:
                         fails += 1
-                        first, _ = bfs_extension(orbit.masks, n, seed.blocks)
+                        first, _, _ = bfs_extension([orbit.masks], n, seed.blocks)
                         assert verdict.holds is False, key
                         assert verdict.witness.partition == SetPartition.of(first), key
         assert fails > 200 and holds > 200
@@ -544,7 +544,7 @@ class TestTwoGraph:
             if n < 4 or math.comb(n, 3) > 50_000 or not is_transitive(G):
                 continue
             for orbit in orbits_on_ksets(G, 3):
-                members = orbit.members
+                members = [kset_of_mask(m) for m in orbit.masks]
                 want = brute_two_graph(n, members)
                 report = two_graph_check(G, orbit)
                 assert (None if report is None else report.lam) == want, (G.name, n, orbit.representative)

@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ut_lab.catalog import format_group_file, projective_line
 from ut_lab.perm_core import Permutation, PermGroup, transitivity_degree
-from ut_lab.set_orbits import orbits_on_ksets
+from ut_lab.set_orbits import kset_of_mask, orbits_on_ksets
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "ut_lab" / "data"
 
@@ -184,7 +184,7 @@ def steiner_blocks_12(psl: PermGroup) -> set[int]:
         # Steiner check: every 5-set lies in exactly one block
         count: dict[tuple[int, ...], int] = {}
         good = True
-        for block in orb.members:
+        for block in map(kset_of_mask, orb.masks):
             for five in itertools.combinations(block, 5):
                 count[five] = count.get(five, 0) + 1
                 if count[five] > 1:
