@@ -6,6 +6,15 @@ Sporadic and exceptional groups load from stored .grp files (1-based image
 arrays or cycle notation), validated against their known orders at build
 time.  The UT_LAB_DATA environment variable overrides the bundled data
 directory.
+
+Every catalog group is built from at most two generators, because an orbit
+walk applies each generator to each member.  A formula family builds a
+fixed pair of words in its natural generators (the field maps, or the
+transvections, that generate the group by definition), and a stored file
+holds a seeded pair of words, chosen by `tools/gen_stored_groups.py`, in the
+generators the group was found with.  The words generate a subgroup of the
+group the natural generators do, so the order check at build time proves
+that they generate all of it.
 """
 from __future__ import annotations
 
@@ -162,16 +171,20 @@ def _affine_perm(F: GF, scale: int, shift: int, power: int = 0) -> Permutation:
 
 
 def affine_1dim(q: int, gamma: bool = False) -> PermGroup:
-    """AGL(1,q) = <x+1, gx>, optionally with the Frobenius adjoined (AGammaL)."""
+    """AGL(1,q) = <x+1, gx>, optionally with the Frobenius adjoined (AGammaL).
+
+    AGammaL(1,q) is built from x^p + 1 and gx: their linear parts generate
+    GammaL(1,q), and no point is fixed by both, so the group they generate
+    holds the translations.
+    """
     F = GF.of(q)
     trans = _affine_perm(F, 1, 1)
     mult = _affine_perm(F, F.generator, 0)
-    gens = [trans, mult]
-    name = f"AGL(1,{q})"
     if gamma:
-        gens.append(_affine_perm(F, 1, 0, power=1))
-        name = f"AGammaL(1,{q})"
-    return PermGroup.from_gens(gens, name=name)
+        return PermGroup.from_gens(
+            [trans * _affine_perm(F, 1, 0, power=1), mult], name=f"AGammaL(1,{q})"
+        )
+    return PermGroup.from_gens([trans, mult], name=f"AGL(1,{q})")
 
 
 def agl1_index2_subgroup(p: int) -> PermGroup:
@@ -207,9 +220,9 @@ def affine_gf9(kind: str) -> PermGroup:
     if kind == "3^2:4":
         gens = [trans, mul_w2]
     elif kind == "3^2:D(2*4)":
-        gens = [trans, mul_w2, _affine_perm(F, 1, 0, power=1)]
+        gens = [trans * _affine_perm(F, 1, 0, power=1), mul_w2]
     elif kind == "M9":
-        gens = [trans, mul_w2, _affine_perm(F, w, 0, power=1)]
+        gens = [trans * _affine_perm(F, w, 0, power=1), mul_w2]
     else:
         raise ValueError(f"unknown degree-9 affine kind {kind!r}")
     return PermGroup.from_gens(gens, name=kind)
@@ -219,15 +232,8 @@ def affine_gf9(kind: str) -> PermGroup:
 # Matrix groups over GF(p): affine d-dimensional and PSL(3,2)
 
 
-def _vec_index(vec: Sequence[int], p: int) -> int:
-    # first coordinate most significant, matching _all_vectors order
-    out = 0
-    for c in vec:
-        out = out * p + c
-    return out
-
-
 def _all_vectors(d: int, p: int) -> list[tuple[int, ...]]:
+    # first coordinate most significant
     return [tuple(v) for v in itertools.product(range(p), repeat=d)]
 
 
@@ -235,54 +241,52 @@ def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> tuple[
     return tuple(sum(mat[i][j] * vec[j] for j in range(len(vec))) % p for i in range(len(mat)))
 
 
-def _linear_generators(d: int, p: int, special: bool) -> list[list[list[int]]]:
-    """Transvections generate SL(d,p); a primitive scalar block extends to GL."""
-    mats: list[list[list[int]]] = []
+Labels = dict[tuple[int, ...], int]  # vector -> point
+
+
+def _matrix_perm(mat: Sequence[Sequence[int]], where: Labels, p: int) -> Permutation:
+    """The action of a matrix on the vectors labelled by `where`."""
+    return Permutation(tuple(where[_mat_vec(mat, v, p)] for v in where))
+
+
+def _transvection_pair(where: Labels, d: int, p: int) -> tuple[Permutation, Permutation]:
+    """T0 and T1 ... T(d-1), for the transvections Ti = I + E(i, i+1 mod d)."""
+    perms = []
     for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            m = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
-            m[i][j] = 1
-            mats.append(m)
-    if not special and p > 2:
         m = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
-        m[0][0] = GF.of(p).generator
-        mats.append(m)
-    return mats
+        m[i][(i + 1) % d] = 1
+        perms.append(_matrix_perm(m, where, p))
+    return perms[0], functools.reduce(Permutation.__mul__, perms[1:])
 
 
 def affine_matrix_group(d: int, p: int, linear_part: str) -> PermGroup:
-    """AGL(d,p) or ASL(d,p) acting on the p^d points of the vector space."""
+    """AGL(d,p) or ASL(d,p) acting on the p^d points of the vector space.
+
+    Its natural generators are the shift by e1, the transvections I + E(i,j),
+    which generate SL(d,p), and for GL (p > 2) the scalar g on e1.  The
+    group is built from T0 and shift T1 ... T(d-1), times the scalar for GL,
+    with Ti = I + E(i, i+1 mod d); products apply left to right.
+    """
     if linear_part not in ("GL", "SL"):
         raise ValueError("linear_part must be GL or SL")
-    vectors = _all_vectors(d, p)
-    e1 = tuple(1 if i == 0 else 0 for i in range(d))
-    shift = Permutation(
-        tuple(
-            _vec_index(tuple((v[i] + e1[i]) % p for i in range(d)), p) + 1
-            for v in vectors
-        )
-    )
-    gens = [shift]
-    for mat in _linear_generators(d, p, special=(linear_part == "SL")):
-        gens.append(
-            Permutation(tuple(_vec_index(_mat_vec(mat, v, p), p) + 1 for v in vectors))
-        )
-    name = f"A{linear_part}({d},{p})"
-    return PermGroup.from_gens(gens, name=name)
+    if d < 2:
+        raise ValueError("need dimension d >= 2")
+    where = {v: i + 1 for i, v in enumerate(_all_vectors(d, p))}
+    shift = Permutation(tuple(where[((v[0] + 1) % p,) + v[1:]] for v in where))
+    first, rest = _transvection_pair(where, d, p)
+    second = shift * rest
+    if linear_part == "GL" and p > 2:
+        scalar = [[1 if a == b else 0 for b in range(d)] for a in range(d)]
+        scalar[0][0] = GF.of(p).generator
+        second = second * _matrix_perm(scalar, where, p)
+    return PermGroup.from_gens([first, second], name=f"A{linear_part}({d},{p})")
 
 
 def psl32_on_points() -> PermGroup:
-    """PSL(3,2) acting on the 7 points of the Fano plane (nonzero vectors)."""
-    vectors = [v for v in _all_vectors(3, 2) if any(v)]
-    index = {v: i + 1 for i, v in enumerate(vectors)}
-    gens = []
-    for mat in _linear_generators(3, 2, special=True):
-        gens.append(
-            Permutation(tuple(index[_mat_vec(mat, v, 2)] for v in vectors))
-        )
-    return PermGroup.from_gens(gens, name="PSL(3,2)")
+    """PSL(3,2) acting on the 7 points of the Fano plane (nonzero vectors),
+    built from T0 and T1 T2 as in affine_matrix_group."""
+    where = {v: i + 1 for i, v in enumerate(v for v in _all_vectors(3, 2) if any(v))}
+    return PermGroup.from_gens(_transvection_pair(where, 3, 2), name="PSL(3,2)")
 
 
 def fano_lines() -> list[tuple[int, int, int]]:
@@ -319,22 +323,31 @@ def _frobenius_on_line(F: GF) -> Permutation:
 
 
 def projective_line(q: int, level: str) -> PermGroup:
-    """PSL/PGL/PSigmaL/PGammaL(2,q), or M10 for q=9, on the q+1 line points."""
+    """PSL/PGL/PSigmaL/PGammaL(2,q), or M10 for q=9, on the q+1 line points.
+
+    The natural generators are x+1, -1/x and g^2 x (PSL), with g x for PGL,
+    the Frobenius for PSigmaL, both for PGammaL, and g x^3 for M10.  PSL
+    and PGL are built from x+1 and the diagonal map, g^2 x or g x, followed
+    by -1/(x+1); the groups with a field twist from the diagonal map and
+    -1/(x+1) followed by the twist.  Each pair generates its group at every
+    q <= 128 that GF builds, and the order check confirms it for each
+    catalog q.
+    """
     F = GF.of(q)
     t = _moebius_perm(F, 1, 1, 0, 1)                                # x + 1
     sq = _moebius_perm(F, F.mul(F.generator, F.generator), 0, 0, 1)  # g^2 x
     neg_inv = _moebius_perm(F, 0, F.neg(1), 1, 0)                    # -1 / x
-    psl_gens = [t, sq, neg_inv]
     scale = _moebius_perm(F, F.generator, 0, 0, 1)                   # g x
     frob = _frobenius_on_line(F)
+    rot = t * neg_inv                                                # -1 / (x + 1)
     if level == "PSL":
-        gens, name = psl_gens, f"PSL(2,{q})"
+        gens, name = [t, sq * rot], f"PSL(2,{q})"
     elif level == "PGL":
-        gens, name = psl_gens + [scale], f"PGL(2,{q})"
+        gens, name = [t, scale * rot], f"PGL(2,{q})"
     elif level == "PSigmaL":
-        gens, name = psl_gens + [frob], f"PSigmaL(2,{q})"
+        gens, name = [sq, rot * frob], f"PSigmaL(2,{q})"
     elif level == "PGammaL":
-        gens, name = psl_gens + [scale, frob], f"PGammaL(2,{q})"
+        gens, name = [scale, rot * frob], f"PGammaL(2,{q})"
     elif level == "M10":
         if q != 9:
             raise ValueError("M10 lives on PG(1,9)")
@@ -344,7 +357,7 @@ def projective_line(q: int, level: str) -> PermGroup:
             )
             + (q + 1,)
         )
-        gens, name = psl_gens + [twist], "M10"
+        gens, name = [sq, rot * twist], "M10"
     else:
         raise ValueError(f"unknown projective level {level!r}")
     return PermGroup.from_gens(gens, name=name)

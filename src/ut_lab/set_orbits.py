@@ -112,12 +112,15 @@ class KSetOrbit:
 # Above this degree a k-set sets few of a mask's many bytes, and a generator
 # acts as fast point by point as byte by byte, with far smaller tables.
 # Time for all k-set orbits, byte tables over point tables, group and tables
-# built fresh, best of 5: 0.77-0.86 on AGL(1,47) (k = 3, 4), 0.84-0.94 on
-# AGL(1,53), 0.94-1.06 on AGL(1,59) and AGL(1,61), 1.09-1.41 on the two
-# degree-64 groups (k = 3), and 1.6 on the Higman-Sims 3-set orbit at 176.
-# The degree alone does not settle it: each generator adds one table per
-# byte, and on Sp(6,2), 8 generators, byte tables were 1.10-1.19 slower at
-# degrees 28 and 36 (k = 3).
+# built fresh, best of 5, with the catalog's two generators per group
+# (k = 3 unless said): 0.84-0.88 on Sp(6,2) at degrees 28 and 36 and on
+# PGammaL(2,32), 0.81-0.83 on AGL(1,47), 0.97-1.12 on AGL(1,47) at k = 4,
+# 0.90-1.02 on AGL(1,53) to AGL(1,61), and 0.93-1.01 on the two degree-64
+# groups; earlier, 1.6 on the Higman-Sims 3-set orbit at 176.  Each
+# generator adds one table per byte: with 5-8 generators byte tables were
+# 1.10-1.20 slower on Sp(6,2) and at degree 64.  At degree 64 the two
+# tables are now even within the noise of these timings, and no paired run
+# backs moving the bound, so it stays.
 BYTE_TABLE_MAX_DEGREE = 61
 
 _GEN_TABLES: "weakref.WeakKeyDictionary[PermGroup, tuple[int, tuple]]"

@@ -17,15 +17,14 @@ from typing import Callable
 from .catalog import build, build_named, catalog_manifest
 from .errors import MissingDataError
 from .num_theory import agl_criterion, consecutive_qr_shortcut, primes_up_to, sixth_root_shortcut
-from . import semigroup
 from .perm_core import PermGroup
 from .semigroup import (
     Transformation,
     is_regular_in,
+    is_regular_semigroup,
     regular_for_all_rank_k,
     regular_in_closure,
-    _closure_tuples,
-    _regularity_test,
+    semigroup_closure,
 )
 from .set_orbits import is_ij_homogeneous, is_k_homogeneous, orbits_on_ksets
 from .ut_deciders import (
@@ -201,7 +200,9 @@ def criterion_5() -> tuple[bool | None, str]:
 
 def criterion_6() -> tuple[bool | None, str]:
     """Criterion-decider equivalence for AGL(1,p), and the two shortcuts."""
-    for p in (5, 7, 11, 13, 17, 19, 23):
+    for p in primes_up_to(47):
+        if p < 5:
+            continue
         report = agl_criterion(p)
         verdict = has_kut(build_named(f"AGL(1,{p})"), 3)
         if verdict.holds is None:
@@ -220,7 +221,7 @@ def criterion_6() -> tuple[bool | None, str]:
             c = consecutive_qr_shortcut(p)
             if c is None or report.verdict:
                 return False, f"p={p}: consecutive-residue shortcut inconsistent"
-    return True, "criterion = decider for 5 <= p <= 23; shortcuts verified to 200"
+    return True, "criterion = decider for 5 <= p <= 47; shortcuts verified to 200"
 
 
 def criterion_7() -> tuple[bool | None, str]:
@@ -356,20 +357,14 @@ def criterion_12() -> tuple[bool | None, str]:
     # ASL(2,3): locate a non-regular element of <a, G> by closure search
     G9 = build_named("ASL(2,3)")
     a = Transformation.parse("1,4,5,2,2,2,2,2,2")
-    closure = _closure_tuples(
-        [g.images for g in G9.generators] + [a.images], semigroup.DEFAULT_CLOSURE_CAP
+    closure = semigroup_closure(
+        [Transformation.from_permutation(g) for g in G9.generators] + [a]
     )
-    elements = sorted(closure)
-    regular = _regularity_test(elements)
-    witness = None
-    for b in [a.images] + elements:
-        if not regular(b):
-            witness = Transformation(b)
-            break
-    if witness is None:
+    regular, witness = is_regular_semigroup(closure)
+    if regular:
         return False, "no non-regular element found in <a, ASL(2,3)>"
     notes.append(
-        f"<a, ASL(2,3)> has {len(elements)} elements; non-regular witness of "
+        f"<a, ASL(2,3)> has {len(closure)} elements; non-regular witness of "
         f"rank {witness.rank}: {witness}"
     )
 

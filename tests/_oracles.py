@@ -14,7 +14,9 @@ closure search for a regularity witness through products of every rank;
 `brute_two_graph`, the 4-set parity scan that the regular two-graph
 test was before it read the members off one descendant graph;
 `bfs_is_k_homogeneous`, the full orbit walk that k-homogeneity was before
-the stabilizer chain answered it; `closure_block_system`, the all-beta
+the stabilizer chain answered it; `natural_generators`, the generators
+each formula family of the catalog was built from before it was cut to a
+pair of words in them, on the library's field labelling; `closure_block_system`, the all-beta
 congruence closure that primitivity was before 2-transitive groups were
 answered from the chain; and `point_byte_tables`, the point-by-point build
 of the generator byte tables.
@@ -457,3 +459,77 @@ def brute_two_graph(n: int, members) -> int | None:
         if sum(tri in members for tri in itertools.combinations(quad, 3)) % 2:
             return None
     return values.pop()
+
+
+def brute_kset_orbit_sizes(gen_images: list[tuple[int, ...]], n: int, k: int) -> list[int]:
+    """The sorted sizes of the orbits on k-sets, each by frozenset closure."""
+    seen: set[frozenset[int]] = set()
+    sizes = []
+    for combo in itertools.combinations(range(1, n + 1), k):
+        if frozenset(combo) not in seen:
+            orbit = brute_set_orbit(gen_images, frozenset(combo))
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sorted(sizes)
+
+
+def natural_generators(kind: str, params: tuple) -> list[tuple[int, ...]] | None:
+    """The generators that define a catalog formula family, as image tuples,
+    or None for a family that never had more than two.
+
+    Points are labelled as in the catalog: field element i of the library's
+    GF(q) is point i + 1, q + 1 is infinity on the projective line, and
+    vectors are numbered with the first coordinate most significant.
+    """
+    from ut_lab.gf import GF
+
+    if kind in ("projective_line", "affine_1dim", "affine_gf9"):
+        q = 9 if kind == "affine_gf9" else params[0]
+        F = GF.of(q)
+        g = F.generator
+        frob = tuple(F.frobenius(x) + 1 for x in range(q))
+        if kind == "affine_1dim":
+            affine = [tuple(F.add(x, 1) + 1 for x in range(q)),
+                      tuple(F.mul(g, x) + 1 for x in range(q))]
+            return affine + [frob] if params[1:] == (True,) else None
+        if kind == "affine_gf9":
+            twists = {"3^2:4": [], "3^2:D(2*4)": [frob],
+                      "M9": [tuple(F.mul(g, F.frobenius(x)) + 1 for x in range(q))]}
+            return [tuple(F.add(x, 1) + 1 for x in range(q)),
+                    tuple(F.mul(F.mul(g, g), x) + 1 for x in range(q))] + twists[params[0]]
+
+        def moebius(a, b, c, d):
+            images = []
+            for x in range(q):
+                den = F.add(F.mul(c, x), d)
+                num = F.add(F.mul(a, x), b)
+                images.append(q + 1 if den == 0 else F.mul(num, F.inv(den)) + 1)
+            return tuple(images) + (q + 1 if c == 0 else F.mul(a, F.inv(c)) + 1,)
+
+        psl = [moebius(1, 1, 0, 1), moebius(F.mul(g, g), 0, 0, 1), moebius(0, F.neg(1), 1, 0)]
+        scale, frob = moebius(g, 0, 0, 1), frob + (q + 1,)
+        twist = tuple(F.mul(g, F.frobenius(x)) + 1 for x in range(q)) + (q + 1,)
+        extra = {"PSL": [], "PGL": [scale], "PSigmaL": [frob], "PGammaL": [scale, frob],
+                 "M10": [twist]}
+        return psl + extra[params[1]]
+    if kind in ("affine_matrix", "psl32"):
+        d, p, linear = params if kind == "affine_matrix" else (3, 2, "SL")
+        vectors = list(itertools.product(range(p), repeat=d))
+        if kind == "psl32":
+            vectors = vectors[1:]
+        index = {v: i + 1 for i, v in enumerate(vectors)}
+
+        def act(f):
+            return tuple(index[f(v)] for v in vectors)
+
+        gens = []
+        if kind == "affine_matrix":
+            gens.append(act(lambda v: ((v[0] + 1) % p,) + v[1:]))
+        for i, j in itertools.permutations(range(d), 2):
+            # I + E(i, j): coordinate i gains coordinate j
+            gens.append(act(lambda v, i=i, j=j: tuple(
+                (v[r] + v[j]) % p if r == i else v[r] for r in range(d))))
+        if linear == "GL" and p > 2:
+            gens.append(act(lambda v: (v[0] * GF.of(p).generator % p,) + v[1:]))
+        return gens
+    return None

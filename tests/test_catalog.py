@@ -14,7 +14,10 @@ from ut_lab.catalog import (
     parse_group_file,
 )
 from ut_lab.errors import MissingDataError
-from ut_lab.perm_core import is_transitive, transitivity_degree
+from ut_lab.perm_core import Permutation, is_transitive, transitivity_degree
+from ut_lab.set_orbits import orbits_on_ksets
+
+from _oracles import brute_kset_orbit_sizes, natural_generators
 
 
 class TestBuildExamples:
@@ -110,6 +113,45 @@ class TestContainments:
                 assert bigger.contains(g)
             larger = bigger
         assert larger is not psl
+
+
+class TestGeneratingPairs:
+    """Every catalog group is built from at most two generators, and they
+    generate the group its natural generators define, on the same labels."""
+
+    SPECS = [spec for spec in catalog_manifest() if not spec.optional]
+
+    def test_at_most_two_generators(self):
+        wide = [s.key for s in self.SPECS if len(build(s).generators) > 2]
+        assert not wide
+
+    @pytest.mark.parametrize(
+        "spec",
+        [s for s in SPECS if natural_generators(s.kind, s.params) is not None],
+        ids=lambda s: s.key,
+    )
+    def test_pair_holds_natural_generators(self, spec):
+        # build() checks the order, so containment makes the groups equal
+        G = build(spec)
+        for images in natural_generators(spec.kind, spec.params):
+            assert G.contains(Permutation(images))
+
+    def test_m12_holds_psl211(self):
+        # the stored M12 was found as PSL(2,11) on the projective line plus
+        # an automorphism of S(5,6,12)
+        M12 = build_named("M12", 12)
+        for images in natural_generators("projective_line", (11, "PSL")):
+            assert M12.contains(Permutation(images))
+
+    @pytest.mark.parametrize(
+        "spec", [s for s in SPECS if s.degree <= 14], ids=lambda s: s.key
+    )
+    def test_kset_orbit_sizes_match_natural_bfs(self, spec):
+        G = build(spec)
+        gens = natural_generators(spec.kind, spec.params) or G.gen_images()
+        for k in range(1, 4):
+            sizes = sorted(o.size for o in orbits_on_ksets(G, k))
+            assert sizes == brute_kset_orbit_sizes(gens, G.degree, k), k
 
 
 class TestGroupFiles:

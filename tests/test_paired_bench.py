@@ -1,4 +1,5 @@
-"""The per-metric verdict of `tools/paired_bench.py`, on hand-made runs."""
+"""The per-metric verdict of `tools/paired_bench.py`, on hand-made runs,
+and the order in which it launches the two sides of a pair."""
 import importlib.util
 from pathlib import Path
 
@@ -8,11 +9,16 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
 
 
 @pytest.fixture(scope="module")
-def verdict():
+def tool():
     spec = importlib.util.spec_from_file_location("paired_bench", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.metric_verdict
+    return module
+
+
+@pytest.fixture(scope="module")
+def verdict(tool):
+    return tool.metric_verdict
 
 
 NARROW = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
@@ -49,3 +55,14 @@ def test_wide_spread_resolved_when_every_change_run_is_better(verdict):
 def test_zero_median(verdict):
     assert verdict([0.0] * 10, [0.0] * 10, 1, 0.001) == "-"
     assert verdict([0.0, 1.0] * 5, [0.0, 1.0] * 5, 1, 0.001) == "unresolved"
+
+
+def test_launch_order_alternates(tool):
+    order = tool.launch_order
+    assert order(0, None) == [("parent", None), ("change", None)]
+    assert order(1, None) == [("change", None), ("parent", None)]
+    assert order(2, None) == order(0, None)
+    # concurrent pairs: the side launched first takes the first CPU, so
+    # each side alternates between the CPUs as well
+    assert order(0, (3, 5)) == [("parent", 3), ("change", 5)]
+    assert order(1, (3, 5)) == [("change", 3), ("parent", 5)]

@@ -266,6 +266,17 @@ class TestRegularSemigroup:
         with pytest.raises(ValueError):
             is_regular_semigroup([Transformation.parse("1,1,2")])
 
+    def test_witness_is_first_nonregular_element(self):
+        # the acceptance suite reads its degree-9 witness off this answer
+        for seed in range(3):
+            rng = random.Random(seed)
+            gens = [Transformation(tuple(rng.randint(1, 6) for _ in range(6))) for _ in range(3)]
+            closure = semigroup_closure(gens)
+            ok, witness = is_regular_semigroup(closure)
+            elements = sorted(t.images for t in closure)
+            first = next(b for b in elements if not scan_regular_inside(b, elements))
+            assert not ok and witness.images == first, seed
+
     def test_asl23_generates_nonregular_semigroup(self):
         # the degree-9 witness: <a, ASL(2,3)> contains a non-regular element
         G = build_named("ASL(2,3)")

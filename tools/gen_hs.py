@@ -16,17 +16,17 @@ Pipeline, all validated as it goes:
    the 100 vertices into two 50-sets inducing Hoffman-Singleton graphs
    (checked: srg(50, 7, 0, 1)); the HS-orbit of one half has length 176 and
    the induced action is the 2-transitive degree-176 representation.
-6. A seeded random pair of elements that generates the whole degree-176
-   group replaces the generators inherited from step 4, so that every orbit
-   computation applies two generators instead of dozens (checked: order,
-   2-transitivity, 3-set orbit sizes 61600/369600/462000, all on the pair).
+6. A seeded pair of words in the generators inherited from step 4, found
+   by `gen_stored_groups.generating_pair`, replaces them, so that every
+   orbit computation applies two generators instead of dozens (checked:
+   order, containment of the old generators, 2-transitivity, 3-set orbit
+   sizes 61600/369600/462000, all on the pair).
 
 Writes src/ut_lab/data/hs_deg176.grp.  Run: python tools/gen_hs.py
 """
 from __future__ import annotations
 
 import itertools
-import random
 import sys
 import time
 from collections import deque
@@ -38,6 +38,8 @@ from ut_lab.catalog import format_group_file
 from ut_lab.gf import GF
 from ut_lab.perm_core import PermGroup, Permutation, transitivity_degree
 from ut_lab.set_orbits import orbits_on_ksets
+
+from gen_stored_groups import generating_pair
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "ut_lab" / "data"
 
@@ -296,30 +298,6 @@ def derived_subgroup_gens(gens_1based, degree, target_order):
     return der
 
 
-def two_generators(G: PermGroup):
-    """A pair of random words of length 40 in G's generators that generates
-    all of G.
-
-    Seeded, so the tool writes the same file on every run.  The order check
-    is the exact stabilizer-chain order, so a pair that generates a proper
-    subgroup is rejected.
-    """
-    rng = random.Random(176)
-    gens = G.generators
-
-    def random_word():
-        x = rng.choice(gens)
-        for _ in range(39):
-            x = x * rng.choice(gens)
-        return x
-
-    for _ in range(50):
-        pair = (random_word(), random_word())
-        if PermGroup.from_gens(pair).order == G.order:
-            return pair
-    raise RuntimeError("no generating pair in 50 tries")
-
-
 def heptad_split(blocks, adj):
     """A 7-set of points meeting every block in 1 or 3 points, and the split
     of the 100 vertices it induces."""
@@ -435,7 +413,7 @@ def main():
     HS176 = PermGroup.from_gens(perms176, name="HS")
     assert HS176.order == 44352000, HS176.order
     print(f"a generating pair in place of {len(perms176)} generators ...")
-    HS176 = PermGroup.from_gens(two_generators(HS176), name="HS")
+    HS176 = PermGroup.from_gens(generating_pair(perms176, seed=176), name="HS")
     assert HS176.order == 44352000, HS176.order
     assert transitivity_degree(HS176) >= 2
     print("validating 3-set orbit sizes (this enumerates C(176,3) sets) ...")

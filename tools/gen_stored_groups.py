@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Generate the stored permutation-group data files under src/ut_lab/data/.
 
-Each group is derived from first principles and validated before writing:
+Each group is derived from first principles and validated before writing.
+Every file holds two generators, since an orbit walk applies each generator
+to each member: a group found with more is reduced to a seeded pair of
+words in those generators (`generating_pair`), checked by order and by
+containment of the generators it was found with.
 
 * M11 degree 11: the classical two-generator presentation, checked by order.
 * M11 degree 12: the action of M11 on the cosets of a subgroup of order 660
@@ -9,20 +13,23 @@ Each group is derived from first principles and validated before writing:
   3-transitivity, and its two orbits on 4-sets.
 * M12 degree 12: PSL(2,11) on the projective line plus one automorphism of
   the unique 132-block Steiner system S(5,6,12) it stabilizes, found by
-  backtracking; checked by order and 5-transitivity.
+  backtracking; reduced to a seeded pair, checked by order and
+  5-transitivity.
 * Sp(6,2) degrees 28 and 36: the symplectic group generated by transvections
-  acting on the quadratic forms of minus and plus type; checked by order and
-  2-transitivity.
+  acting on the quadratic forms of minus and plus type; reduced to a seeded
+  pair, checked by order and 2-transitivity.
 * 2^6:G2(2) and 2^6:U3(3) degree 64: the affine groups whose linear parts
   are the automorphism group of the split octonion algebra over GF(2)
   (built by backtracking over images of algebra generators) and its derived
-  subgroup; checked by order, 2-transitivity, and orbit counts on 3-sets.
+  subgroup; reduced to seeded pairs, checked by order, 2-transitivity, and
+  orbit counts on 3-sets.
 
 Run from the repository root:  python tools/gen_stored_groups.py
 """
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 import time
 from collections import deque
@@ -67,20 +74,32 @@ def close_group(gens: list[Img], cap: int = 10**6) -> list[Img]:
     return sorted(seen)
 
 
-def reduce_generators(gens: list[Permutation], target_order: int) -> list[Permutation]:
-    """Greedy: keep a short prefix-closed subset reaching the target order."""
-    chosen: list[Permutation] = []
-    for g in gens:
-        if g.is_identity():
-            continue
-        trial = chosen + [g]
-        if PermGroup.from_gens(trial).order == target_order:
-            return trial
-        if not chosen or PermGroup.from_gens(trial).order > PermGroup.from_gens(chosen).order:
-            chosen = trial
-    if PermGroup.from_gens(chosen).order != target_order:
-        raise RuntimeError("generator reduction failed to reach the target order")
-    return chosen
+def generating_pair(gens: list[Permutation], seed: int) -> tuple[Permutation, Permutation]:
+    """A pair of random words of length 40 in `gens` that generates the same
+    group as `gens`.
+
+    Seeded, so the tools write the same file on every run.  The words lie in
+    the group of `gens`, so the pair generates all of it iff the exact
+    stabilizer-chain orders agree; each generator's membership in the pair's
+    group is checked as well before the pair is returned.
+    """
+    rng = random.Random(seed)
+    target = PermGroup.from_gens(gens).order
+
+    def random_word():
+        x = rng.choice(gens)
+        for _ in range(39):
+            x = x * rng.choice(gens)
+        return x
+
+    for _ in range(50):
+        pair = (random_word(), random_word())
+        H = PermGroup.from_gens(pair)
+        if H.order == target:
+            if not all(H.contains(g) for g in gens):
+                raise RuntimeError("a generator lies outside the pair's group")
+            return pair
+    raise RuntimeError("no generating pair in 50 tries")
 
 
 def write_group(filename: str, name: str, gens: list[Permutation], comment: str) -> PermGroup:
@@ -260,17 +279,17 @@ def gen_m12() -> None:
     psl = projective_line(11, "PSL")
     blocks = steiner_blocks_12(psl)
     sigma = automorphism_outside(blocks, psl)
-    gens = list(psl.generators) + [sigma]
-    M12 = PermGroup.from_gens(gens, name="M12")
+    pair = generating_pair(list(psl.generators) + [sigma], seed=12)
+    M12 = PermGroup.from_gens(pair, name="M12")
     assert M12.order == 95040, M12.order
     assert transitivity_degree(M12) == 5
-    small = reduce_generators(gens, 95040)
     write_group(
         "m12_deg12.grp",
         "M12",
-        small,
+        pair,
         "Mathieu group M12 on 12 points: PSL(2,11) on the projective line\n"
-        "plus an automorphism of the invariant Steiner system S(5,6,12).\n"
+        "plus an automorphism of the invariant Steiner system S(5,6,12),\n"
+        "reduced to a seeded pair of words in those generators.\n"
         "validated: order 95040, 5-transitive",
     )
 
@@ -338,43 +357,22 @@ def gen_sp62() -> None:
             imgs[findex[w] - 1] = findex[target]
         return tuple(imgs)
 
-    sp_gens = []
-    for v in vecs[1:]:
-        sp_gens.append(transvection(v))
-    # reduce on the 63-point action first to find a small generating set
-    nonzero = vecs[1:]
-    nzindex = {v: i + 1 for i, v in enumerate(nonzero)}
-
-    def perm63(lin_images):
-        return Permutation(
-            tuple(nzindex[lin_images[vindex[v]]] for v in nonzero)
-        )
-
+    sp_gens = [transvection(v) for v in vecs[1:]]
     target = 1451520
-    chosen: list[list] = []
-    for lin in sp_gens:
-        trial = chosen + [lin]
-        order = PermGroup.from_gens([perm63(t) for t in trial]).order
-        if order == target:
-            chosen = trial
-            break
-        if not chosen or order > PermGroup.from_gens([perm63(t) for t in chosen]).order:
-            chosen = trial
-    G63 = PermGroup.from_gens([perm63(t) for t in chosen])
-    assert G63.order == target, G63.order
-
     for forms, degree, filename in ((minus, 28, "sp62_deg28.grp"), (plus, 36, "sp62_deg36.grp")):
-        perms = [Permutation(action_on_forms(lin, forms)) for lin in chosen]
-        G = PermGroup.from_gens(perms, name="Sp(6,2)")
+        perms = [Permutation(action_on_forms(lin, forms)) for lin in sp_gens]
+        pair = generating_pair(perms, seed=degree)
+        G = PermGroup.from_gens(pair, name="Sp(6,2)")
         assert G.degree == degree
         assert G.order == target, (degree, G.order)
         assert transitivity_degree(G) >= 2
         write_group(
             filename,
             "Sp(6,2)",
-            perms,
+            pair,
             f"Sp(6,2) acting 2-transitively on the {degree} quadratic forms of "
-            f"{'minus' if degree == 28 else 'plus'} type.\n"
+            f"{'minus' if degree == 28 else 'plus'} type,\n"
+            "as a seeded pair of words in the 63 transvections.\n"
             "validated: order 1451520, 2-transitive",
         )
 
@@ -616,7 +614,6 @@ def gen_degree64() -> None:
     lin_perms = octonion_automorphisms()
     lin = PermGroup.from_gens(lin_perms)
     assert lin.order == 12096, lin.order
-    small_lin = reduce_generators(lin_perms, 12096)
 
     # affine: translations by the 64-point vector space; the quotient class
     # labels are an F2-space via the class of the sum of representatives
@@ -644,45 +641,32 @@ def gen_degree64() -> None:
             imgs[class_of(e) - 1] = class_of(oadd(e, t))
         translations.append(Permutation(tuple(imgs)))
 
-    gens = translations[:1] + small_lin
-    H = PermGroup.from_gens(gens, name="2^6:G2(2)")
+    pair = generating_pair(translations[:1] + lin_perms, seed=64)
+    H = PermGroup.from_gens(pair, name="2^6:G2(2)")
     assert H.order == 64 * 12096, H.order
     assert transitivity_degree(H) >= 2
     write_group(
         "aff64_g22.grp",
         "2^6:G2(2)",
-        gens,
+        pair,
         "Affine 2-transitive group of degree 64 whose linear part is the\n"
-        "automorphism group of the split octonions over GF(2).\n"
+        "automorphism group of the split octonions over GF(2), as a seeded\n"
+        "pair of words in a translation and the automorphisms found.\n"
         "validated: order 774144, 2-transitive",
     )
 
     print("2^6:U3(3) degree 64 (derived subgroup) ...")
-    # normal closure of commutators reaches the unique index-2 subgroup
-    base = [g.images for g in gens]
-
-    def commutator(p, q):
-        return mul(mul(inv(p), inv(q)), mul(p, q))
-
-    der_gens = []
-    for p in base:
-        for q in base:
-            c = commutator(p, q)
-            if c != tuple(range(1, 65)):
-                der_gens.append(Permutation(c))
-    D = PermGroup.from_gens(der_gens)
-    rounds = 0
-    while D.order != 64 * 6048 and rounds < 6:
-        rounds += 1
-        extra = []
-        for g in base:
-            gp = Permutation(g)
-            for h in der_gens[:8]:
-                extra.append(gp.inverse() * h * gp)
-        der_gens = der_gens + extra
-        D = PermGroup.from_gens(der_gens)
-    assert D.order == 64 * 6048, D.order
-    small = reduce_generators(der_gens, 64 * 6048)
+    # the derived subgroup of a group generated by a and b is the normal
+    # closure of [a, b]: close its generators under conjugation by a and b
+    a, b = pair
+    der_gens = [a.inverse() * b.inverse() * a * b]
+    for h in der_gens:  # the loop sees conjugates appended on the way
+        for g in pair:
+            c = g.inverse() * h * g
+            if not PermGroup.from_gens(der_gens).contains(c):
+                der_gens.append(c)
+    assert PermGroup.from_gens(der_gens).order == 64 * 6048
+    small = generating_pair(der_gens, seed=64)
     D = PermGroup.from_gens(small, name="2^6:U3(3)")
     assert transitivity_degree(D) >= 2
     n_orbits = len(orbits_on_ksets(D, 3))
@@ -692,7 +676,8 @@ def gen_degree64() -> None:
         "2^6:U3(3)",
         small,
         "Index-2 subgroup of the degree-64 affine group above (derived\n"
-        "subgroup; linear part U3(3)).\n"
+        "subgroup; linear part U3(3)), as a seeded pair of words in the\n"
+        "conjugates of a commutator that generate it.\n"
         "validated: order 387072, 2-transitive, three orbits on 3-sets",
     )
 

@@ -6,6 +6,8 @@ Usage, from anywhere:
     python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload regularity_maps \\
         --seed 1 --pairs 10
     python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload all --seed 1 --pairs 10
+    python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload kut_sweep \\
+        --seed 1 --pairs 10 --concurrent
 
 ``--workload`` takes one or more workload names, or ``all`` for every
 workload in the change checkout's ``BENCHMARK.json``; the workloads are run
@@ -13,7 +15,13 @@ one after the other, and each gets its own table.  Each pair runs
 ``perfbench/run.py`` once in each checkout, with the same workload, seed and
 run length (``run_seconds`` of the change checkout's
 ``BENCHMARK.json``), and alternates which checkout goes first, so a drift
-in the host's speed falls on both sides alike.  For every metric the
+in the host's speed falls on both sides alike.  By default the two runs of
+a pair are sequential.  With ``--concurrent`` both start at once, each
+pinned to a CPU of its own, so a drift that outlasts a run falls on both
+runs of the same pair; the side launched first takes the first CPU, so
+each side alternates between the two CPUs as well.  This needs two CPUs
+in the script's affinity set, and that nothing else keeps them busy.
+For every metric the
 script prints both sides' median and quartiles, the relative change of the
 medians, and the number of pairs the change won.  It calls the metric a
 gain or a loss only when the change won (or lost) at least nine pairs in
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -52,19 +61,55 @@ def parse_args(argv):
                     help="workload names, or 'all' for every workload in BENCHMARK.json")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--concurrent", action="store_true",
+                    help="run both sides of a pair at once, one per CPU")
     return ap.parse_args(argv)
 
 
-def run_once(checkout: Path, workload: str, args, seconds: float) -> dict[str, float]:
+def launch_order(i: int, cpus: tuple[int, int] | None) -> list[tuple[str, int | None]]:
+    """The sides of pair i in the order they launch, each with the CPU it
+    is pinned to (None when the runs are sequential).  Even pairs launch
+    the parent first, odd pairs the change."""
+    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    return list(zip(order, cpus or (None, None)))
+
+
+def launch(checkout: Path, workload: str, args, seconds: float,
+           cpu: int | None) -> subprocess.Popen:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = out.stdout.strip().splitlines()
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    return subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, preexec_fn=pin)
+
+
+def collect(proc: subprocess.Popen, checkout: Path) -> dict[str, float]:
+    stdout, stderr = proc.communicate()
+    lines = stdout.strip().splitlines()
     report = json.loads(lines[-1]) if lines else {}
-    if out.returncode or report.get("correct") is not True:
-        raise SystemExit(f"error: run in {checkout} failed (exit {out.returncode}):\n"
-                         f"{out.stderr[-2000:]}")
+    if proc.returncode or report.get("correct") is not True:
+        raise SystemExit(f"error: run in {checkout} failed (exit {proc.returncode}):\n"
+                         f"{stderr[-2000:]}")
     return {name: m["value"] for name, m in report["metrics"].items()}
+
+
+def run_pair(i: int, workload: str, args, seconds: float,
+             cpus: tuple[int, int] | None) -> dict[str, dict[str, float]]:
+    """Both sides' metrics for pair i: one run after the other, or, with
+    CPUs, both at once."""
+    if cpus is None:
+        return {side: collect(launch(getattr(args, side), workload, args, seconds, None),
+                              getattr(args, side))
+                for side, _ in launch_order(i, None)}
+    procs = {side: launch(getattr(args, side), workload, args, seconds, cpu)
+             for side, cpu in launch_order(i, cpus)}
+    try:
+        return {side: collect(proc, getattr(args, side)) for side, proc in procs.items()}
+    finally:
+        for proc in procs.values():  # the other run, when one failed
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 def benchmark_spec(checkout: Path) -> tuple[float, list[str], dict[str, str], dict[str, float]]:
@@ -117,16 +162,17 @@ def metric_verdict(old: list[float], new: list[float], sign: int,
 
 
 def compare(workload: str, args, seconds: float, better: dict[str, str],
-            bounds: dict[str, float]) -> None:
+            bounds: dict[str, float], cpus: tuple[int, int] | None) -> None:
     """Run the pairs of one workload and print its table."""
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), workload, args, seconds))
-        print(f"{workload} pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+        for side, values in run_pair(i, workload, args, seconds, cpus).items():
+            runs[side].append(values)
+        print(f"{workload} pair {i + 1}/{args.pairs} done "
+              f"({launch_order(i, cpus)[0][0]} first)", file=sys.stderr)
 
-    print(f"{workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
+    mode = f"concurrent on CPUs {cpus[0]} and {cpus[1]}" if cpus else "sequential"
+    print(f"{workload} seed {args.seed}, {args.pairs} {mode} pairs of {seconds:g} s runs")
     new_names, old_names = runs["change"][0].keys(), runs["parent"][0].keys()
     for side, missing in (("parent", new_names - old_names), ("change", old_names - new_names)):
         if missing:
@@ -156,8 +202,14 @@ def main(argv=None) -> int:
     if unknown:
         raise SystemExit(f"error: unknown workload(s) {', '.join(unknown)}; "
                          f"BENCHMARK.json lists {', '.join(known)}")
+    cpus = None
+    if args.concurrent:
+        allowed = sorted(os.sched_getaffinity(0))
+        if len(allowed) < 2:
+            raise SystemExit("error: --concurrent needs two CPUs")
+        cpus = (allowed[0], allowed[1])
     for workload in workloads:
-        compare(workload, args, seconds, better, bounds)
+        compare(workload, args, seconds, better, bounds, cpus)
     return 0
 
 
