@@ -5,7 +5,8 @@ ordered by their least element; two partitions are equal iff their canonical
 forms are equal.  Enumeration follows restricted-growth-string order, so the
 stream itself is canonical and deterministic.  One rule, `_next_blocks`,
 gives the blocks each point may take, for the enumeration and for the
-partition search alike.
+partition search alike; one more, `placement_order`, gives the order in
+which a seeded search of one family places its points.
 """
 from __future__ import annotations
 
@@ -174,16 +175,20 @@ def first_unsectioned(
 
     A family is a collection of k-set masks (bit p-1 set iff point p is in
     the set), such as one k-set orbit.  One recursion places the unplaced
-    points in ascending order, depth first, each taking the blocks
-    `_next_blocks` allows.  Without a seed the blocks open in
+    points depth first, each taking the blocks `_next_blocks` allows.
+    Without a seed the points go in ascending order and the blocks open in
     restricted-growth order, so leaves come in the order of
-    `enumerate_kpartitions`; a seed's k blocks are all open from the start,
-    so only its completions are searched, each point trying blocks 0..k-1
-    in turn.  A block that is still empty has no section, so no family is
-    probed until all k blocks are open; from then on each family with no
-    section yet is probed for one through the point just placed, and a
-    subtree in which every family has one is skipped.  A family holding all
-    C(n, k) k-sets is never probed.
+    `enumerate_kpartitions`.  A seed's k blocks are all open from the
+    start, so only its completions are searched, each point trying blocks
+    0..k-1 in turn.  When exactly one family is live at the root (it
+    neither sections the seed nor holds all C(n, k) k-sets), the points go
+    in its `placement_order`, most constrained first, so that subtrees are
+    cut early however the group labels its points; with more live families
+    they go in ascending order.  A block that is still empty has no
+    section, so no family is probed until all k blocks are open; from then
+    on each family with no section yet is probed for one through the point
+    just placed, and a subtree in which every family has one is skipped.
+    A family holding all C(n, k) k-sets is never probed.
 
     Returns the first leaf some family misses, the index of the first such
     family, and the profile: the nodes met per level that some family has
@@ -203,8 +208,6 @@ def first_unsectioned(
     # Each block as a list of one-bit masks, changed in place as points are
     # placed and taken back.
     bits = [[1 << (p - 1) for p in b] for b in blocks]
-    rest = [1 << (p - 1) for p in range(1, n + 1) if p not in placed]
-    last = len(rest)
     families = [frozenset(f) for f in families]
     live = [
         masks for masks in families
@@ -212,6 +215,12 @@ def first_unsectioned(
     ]
     # A search for one family skips building lists of families.
     lone = len(live) == 1
+    if seed is not None and lone:
+        free = placement_order(n, live[0], seed)
+    else:
+        free = [p for p in range(1, n + 1) if p not in placed]
+    rest = [1 << (p - 1) for p in free]
+    last = len(rest)
     profile = [0] * (last + 1)
     cap = FRONTIER_CAP
 
@@ -263,6 +272,38 @@ def first_unsectioned(
         return None, None, [count for count in profile if count] + [0]
     partition = SetPartition.of([b.bit_length() for b in block] for block in bits)
     return partition, next(i for i, f in enumerate(families) if f is found[0]), profile
+
+
+def placement_order(n: int, family: Collection[int], seed: SubPartition) -> list[int]:
+    """The points of {1..n} outside the seed, most constrained first.
+
+    This is the order in which a seeded `first_unsectioned` search with one
+    live family places its points.  A point x ranks by the number of seed
+    blocks v for which the search's cut test fires at the root: some member
+    of the family through x, with x alone in block v, meets every other
+    block.  Most blocks first; ties go by label.  For a seed of singletons
+    each test is one lookup, the seed with its v-th point swapped for x.
+    """
+    masks = frozenset(family)
+    bits = [[1 << (p - 1) for p in b] for b in seed.blocks]
+    placed = {p for b in seed.blocks for p in b}
+
+    if all(len(block) == 1 for block in bits):
+        swaps = [sum(b[0] for b in bits) ^ block[0] for block in bits]
+
+        def fires(x: int) -> int:
+            return sum((s | x) in masks for s in swaps)
+    else:
+        def fires(x: int) -> int:
+            count = 0
+            for v, block in enumerate(bits):
+                bits[v] = [x]
+                count += _has_section(masks, bits)
+                bits[v] = block
+            return count
+
+    free = [p for p in range(1, n + 1) if p not in placed]
+    return sorted(free, key=lambda p: -fires(1 << (p - 1)))
 
 
 def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:

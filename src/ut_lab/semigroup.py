@@ -299,8 +299,9 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     properties coincide); method="direct" skips its shortcuts and asks
     whether every k-set orbit (which covers every image, by G-equivariance)
     has a section of every k-partition (every kernel), by the decider's
-    exact step, `ut_deciders.seeded_sweep`.  Either way an exhausted budget
-    raises CapExceeded.
+    exact step, `ut_deciders.seeded_sweep`: one search per orbit and seed
+    representative, placing the points most constrained first for that
+    orbit.  Either way an exhausted budget raises CapExceeded.
     """
     from .ut_deciders import has_kut, seeded_sweep
 

@@ -10,12 +10,14 @@ that is not k-homogeneous there fails (k-1,k)-homogeneity, so the chain
 ends before the exact step.
 
 The exact step is `seeded_sweep`, the one driver of seeded sweeps: one
-`partitions.first_unsectioned` search per k-set orbit representative,
-placed in singleton blocks, over the families it is given (every orbit
-here and in the direct rank-k question, one orbit with the other orbits'
-representatives for weak k-ut).  The extension decider runs the same
-search for one orbit and one seed, and the naive decider runs it unseeded
-over every orbit.
+`partitions.first_unsectioned` search per k-set orbit representative and
+family, the representative placed in singleton blocks and the other points
+most constrained first for that family (`partitions.placement_order`).
+The families are every orbit here and in the direct rank-k question, and
+one orbit with the other orbits' representatives for weak k-ut.  The
+extension decider runs the same search for one orbit and one seed.  The
+naive decider runs it unseeded over every orbit at once, in ascending
+order, so its witness is the first partition in restricted-growth order.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -461,11 +463,13 @@ def subpartition_extension_decider(
 ) -> UtVerdict:
     """Decide whether the orbit sections every partition refining the seed.
 
-    A seeded `first_unsectioned` search with the orbit as its one family.
-    Its first surviving full partition, a validated witness, is the first
-    in lexicographic order of block choices, the leaf a breadth-first
-    search would list first; a search that ends without one certifies the
-    verdict.  `detail["frontier_profile"]` is the search's profile.
+    A seeded `first_unsectioned` search with the orbit as its one family,
+    which places the points most constrained first.  Its first surviving
+    full partition, a validated witness, is the first in lexicographic
+    order of block choices in that order, the leaf a breadth-first search
+    in the same order would list first; a search that ends without one
+    certifies the verdict.  `detail["frontier_profile"]` is the search's
+    profile.
     """
     if orbit.k != k:
         raise ValueError("orbit must consist of k-sets")
@@ -487,8 +491,11 @@ def seeded_sweep(
     families: list[frozenset[int]], reps: list[KSet], n: int, k: int
 ) -> tuple[KSet, SetPartition, int] | None:
     """(seed representative, partition, family index) for a k-partition
-    some family misses, unchecked, or None: one `first_unsectioned` search
-    over all the families per representative, placed in singleton blocks.
+    some family misses, unchecked, or None.  For each representative,
+    placed in singleton blocks, one `first_unsectioned` search per family,
+    so that each search places the other points most constrained first for
+    its family.  A family that holds the representative sections the seed
+    at the root and is skipped.
 
     Every k-partition is equivalent under G to one whose blocks separate
     some k-set orbit representative (pick a section of the partition and
@@ -498,9 +505,13 @@ def seeded_sweep(
     others' representatives.
     """
     for rep in reps:
-        partition, i, _ = first_unsectioned(n, k, families, _singletons(rep))
-        if partition is not None:
-            return rep, partition, i
+        seed, own = _singletons(rep), mask_of(rep)
+        for i, family in enumerate(families):
+            if own in family:
+                continue
+            partition, _, _ = first_unsectioned(n, k, [family], seed)
+            if partition is not None:
+                return rep, partition, i
     return None
 
 

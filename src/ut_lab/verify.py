@@ -200,7 +200,7 @@ def criterion_5() -> tuple[bool | None, str]:
 
 def criterion_6() -> tuple[bool | None, str]:
     """Criterion-decider equivalence for AGL(1,p), and the two shortcuts."""
-    for p in primes_up_to(47):
+    for p in primes_up_to(59):
         if p < 5:
             continue
         report = agl_criterion(p)
@@ -221,7 +221,7 @@ def criterion_6() -> tuple[bool | None, str]:
             c = consecutive_qr_shortcut(p)
             if c is None or report.verdict:
                 return False, f"p={p}: consecutive-residue shortcut inconsistent"
-    return True, "criterion = decider for 5 <= p <= 47; shortcuts verified to 200"
+    return True, "criterion = decider for 5 <= p <= 59; shortcuts verified to 200"
 
 
 def criterion_7() -> tuple[bool | None, str]:

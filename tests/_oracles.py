@@ -6,7 +6,10 @@ exceptions are the slower searches that the library replaced, kept here as
 the reference the replacements must agree with: `scan_first_unsectioned`,
 the plain scan of every partition, built on the library's RGS enumerator,
 or of every completion of a seed;
-`bfs_extension`, the breadth-first partition search, unseeded or seeded;
+`bfs_extension`, the breadth-first partition search, unseeded or seeded,
+and `dfs_extension`, the depth-first one for one family, both in any
+placement order, such as `search_order`, the library's most-constrained-first
+rule re-derived by `brute_placement_order`;
 `scan_regular_inside`, the scan of a whole semigroup for a regularity
 witness; `RescanStabChain`, the Schreier-Sims chain that re-sifts every
 Schreier generator of a dirty level; `closure_regular_unpruned`, the
@@ -147,24 +150,32 @@ def brute_ij_homogeneous(
     return True, None
 
 
+def _free_points(n: int, seed_blocks, free):
+    """`free`, or the points of {1..n} outside the seed blocks, ascending."""
+    if free is not None:
+        return list(free)
+    placed = {p for b in seed_blocks for p in b}
+    return [p for p in range(1, n + 1) if p not in placed]
+
+
 def scan_first_unsectioned(
-    n: int, k: int, families: list[frozenset[int]], seed_blocks=None
+    n: int, k: int, families: list[frozenset[int]], seed_blocks=None, free=None
 ):
     """Every k-partition against every family of k-set masks.
 
     Without seed blocks the partitions come in RGS order; with them, the
     completions of the seed come in block-choice order: the unplaced points
-    ascending, each trying blocks 0..k-1 in turn.  Returns (first partition
-    some family misses, index of the first such family), or None when every
-    family sections every partition.
+    in the order `free` gives (ascending by default), each trying blocks
+    0..k-1 in turn.  Returns (first partition some family misses, index of
+    the first such family), or None when every family sections every
+    partition.
     """
     from ut_lab.partitions import SetPartition, enumerate_kpartitions
 
     if seed_blocks is None:
         candidates = (p.blocks for p in enumerate_kpartitions(n, k))
     else:
-        placed = {p for b in seed_blocks for p in b}
-        free = [p for p in range(1, n + 1) if p not in placed]
+        free = _free_points(n, seed_blocks, free)
         candidates = (
             [tuple(b) + tuple(p for p, c in zip(free, choice) if c == i)
              for i, b in enumerate(seed_blocks)]
@@ -190,18 +201,18 @@ def _sectioned(masks, blocks) -> bool:
     return any(all(m & b for b in block_masks) for m in masks)
 
 
-def bfs_extension(families, n: int, seed_blocks):
+def bfs_extension(families, n: int, seed_blocks, free=None):
     """Breadth-first partition search over families of k-set masks.
 
     `seed_blocks` are the k blocks at the root, some or all of them empty.
-    The unplaced points of {1..n} go in ascending order, each into every
-    nonempty block in turn and then into the first empty one, as long as
-    the points left can still fill every empty block; the children that
-    some family does not section are kept.  So k empty blocks give the
-    partitions in restricted-growth order, and k nonempty ones every
-    completion of the seed.  A block that is still empty has no section,
-    and a family of all C(n, k) k-sets, which sections every partition, is
-    left out.  Returns (the first full partition of the last level as a
+    The unplaced points of {1..n} go in the order `free` gives (ascending
+    by default), each into every nonempty block in turn and then into the
+    first empty one, as long as the points left can still fill every empty
+    block; the children that some family does not section are kept.  So k
+    empty blocks give the partitions in restricted-growth order, and k
+    nonempty ones every completion of the seed.  A block that is still
+    empty has no section, and a family of all C(n, k) k-sets, which
+    sections every partition, is left out.  Returns (the first full partition of the last level as a
     block tuple, or None when a level empties; the index of the first
     family that misses it, or None; the frontier size per level, seed
     level first).
@@ -212,8 +223,7 @@ def bfs_extension(families, n: int, seed_blocks):
     def missed(blocks):
         return [i for i, masks in kept if not _sectioned(masks, blocks)]
 
-    placed = {p for b in seed_blocks for p in b}
-    free = [p for p in range(1, n + 1) if p not in placed]
+    free = _free_points(n, seed_blocks, free)
     start = tuple(tuple(b) for b in seed_blocks)
     frontier = [start] if missed(start) else []
     profile = [len(frontier)]
@@ -234,6 +244,54 @@ def bfs_extension(families, n: int, seed_blocks):
         profile.append(len(frontier))
     first = frontier[0] if frontier else None
     return first, (missed(first)[0] if first else None), profile
+
+
+def dfs_extension(family, n: int, seed_blocks, free=None):
+    """The first completion of the seed blocks, in block-choice order over
+    `free` (ascending by default), that the family of k-set masks does not
+    section, as a block tuple, or None.  Depth first; a node the family
+    sections is not expanded, since every completion of it is sectioned."""
+    free = _free_points(n, seed_blocks, free)
+
+    def search(blocks, depth):
+        if _sectioned(family, blocks):
+            return None
+        if depth == len(free):
+            return blocks
+        for v in range(len(blocks)):
+            child = blocks[:v] + (blocks[v] + (free[depth],),) + blocks[v + 1:]
+            found = search(child, depth + 1)
+            if found:
+                return found
+        return None
+
+    return search(tuple(tuple(b) for b in seed_blocks), 0)
+
+
+def brute_placement_order(n: int, family, seed_blocks) -> list[int]:
+    """The points outside the seed blocks, by the number of blocks v for
+    which some k-set of the family contains x and meets every block once v
+    is replaced by {x}, most first, ties ascending."""
+    def fires(x):
+        return sum(_sectioned(family, seed_blocks[:v] + ((x,),) + seed_blocks[v + 1:])
+                   for v in range(len(seed_blocks)))
+
+    free = _free_points(n, seed_blocks, None)
+    return sorted(free, key=lambda x: (-fires(x), x))
+
+
+def search_order(n: int, families, seed_blocks) -> list[int]:
+    """The order in which the partition search places the points outside
+    the seed blocks: most constrained first, by `brute_placement_order`, when
+    the blocks are all nonempty and exactly one family neither sections
+    them nor holds every k-set; ascending otherwise."""
+    seed_blocks = tuple(tuple(b) for b in seed_blocks)
+    k = len(seed_blocks)
+    live = [f for f in families
+            if len(set(f)) < math.comb(n, k) and not _sectioned(set(f), seed_blocks)]
+    if all(seed_blocks) and len(live) == 1:
+        return brute_placement_order(n, live[0], seed_blocks)
+    return _free_points(n, seed_blocks, None)
 
 
 def scan_regular_inside(b: tuple[int, ...], elements) -> bool:

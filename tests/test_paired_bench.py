@@ -66,3 +66,26 @@ def test_launch_order_alternates(tool):
     # each side alternates between the CPUs as well
     assert order(0, (3, 5)) == [("parent", 3), ("change", 5)]
     assert order(1, (3, 5)) == [("change", 3), ("parent", 5)]
+
+
+def test_pair_ratios(tool):
+    assert tool.pair_ratios([2.0, 4.0, 0.0], [3.0, 2.0, 1.0]) == [1.5, 0.5, None]
+    assert tool.format_ratios([1.5, 0.5, None]) == "1.500 0.500 n/a"
+
+
+def test_compare_prints_each_pair_ratio(tool, monkeypatch, capsys):
+    # Two pairs of hand-made runs: the ratio is change/parent in each pair,
+    # whichever side launched first.
+    runs = iter([
+        {"parent": {"ops_per_s": 10.0, "setup_s": 0.0},
+         "change": {"ops_per_s": 12.0, "setup_s": 0.5}},
+        {"change": {"ops_per_s": 9.0, "setup_s": 1.0},
+         "parent": {"ops_per_s": 10.0, "setup_s": 2.0}},
+    ])
+    monkeypatch.setattr(tool, "run_pair", lambda *args: next(runs))
+    args = type("Args", (), {"pairs": 2, "seed": 1})()
+    tool.compare("kut_sweep", args, 1.0, {"ops_per_s": "higher", "setup_s": "lower"}, {}, None)
+    out = capsys.readouterr().out
+    tail = out[out.index("change/parent ratio of each pair"):].splitlines()
+    assert tail[1].split() == ["ops_per_s", "1.200", "0.900"]
+    assert tail[2].split() == ["setup_s", "n/a", "0.500"]

@@ -11,6 +11,7 @@ from ut_lab.partitions import (
     enumerate_kpartitions,
     first_unsectioned,
     is_section,
+    placement_order,
     relabel,
     section_count,
     sections,
@@ -19,9 +20,15 @@ from ut_lab.partitions import (
     stirling2,
 )
 
-from ut_lab.set_orbits import orbits_on_ksets
+from ut_lab.set_orbits import mask_of, orbits_on_ksets
 
-from _oracles import bfs_extension, scan_first_unsectioned, stirling_recurrence
+from _oracles import (
+    bfs_extension,
+    brute_placement_order,
+    scan_first_unsectioned,
+    search_order,
+    stirling_recurrence,
+)
 
 
 class TestEnumeration:
@@ -179,6 +186,57 @@ def random_seed(rng, n, k):
     return SubPartition.of(blocks)
 
 
+def random_cases():
+    """400 seeded (n, k, families, seed): families of k-sets that are no
+    group's orbits, sparse ones failing early, dense ones late or never,
+    and a random seed."""
+    rng = random.Random(1108)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        ksets = [sum(1 << (p - 1) for p in c)
+                 for c in itertools.combinations(range(1, n + 1), k)]
+        families = []
+        for _ in range(rng.randint(1, 4)):
+            density = rng.choice((0.0, 0.3, 0.7, 0.9, 1.0))
+            families.append(frozenset(m for m in ksets if rng.random() < density))
+        yield n, k, families, random_seed(rng, n, k)
+
+
+class TestPlacementOrder:
+    """The most-constrained-first rule against its brute-force re-derivation,
+    on every seed the search tests here use."""
+
+    def test_by_hand(self):
+        # With 1 and 2 in their own blocks, 5 completes {2,5} and {1,5},
+        # 4 completes {2,4} only, and 3 completes nothing.
+        family = frozenset(mask_of(s) for s in ((1, 5), (2, 5), (2, 4)))
+        assert placement_order(5, family, SubPartition.of([(1,), (2,)])) == [5, 4, 3]
+        # Blocks {1,2} and {3}: 5 alone completes {3} through {3,5} and
+        # {1,2} through {1,5}; 4 alone completes only {1,2}, through {2,4}.
+        family = frozenset(mask_of(s) for s in ((3, 5), (1, 5), (2, 4)))
+        assert placement_order(5, family, SubPartition.of([(1, 2), (3,)])) == [5, 4]
+
+    def test_catalog_seeds(self, catalog_small):
+        # Every orbit against every representative seed: the one live
+        # family of a seeded search here is always some orbit.
+        for G in catalog_small:
+            n = G.degree
+            for k in range(2, n):
+                orbits = orbits_on_ksets(G, k)
+                for orbit, other in itertools.product(orbits, repeat=2):
+                    seed = SubPartition.of([(p,) for p in other.representative])
+                    want = brute_placement_order(n, orbit.masks, seed.blocks)
+                    assert placement_order(n, orbit.masks, seed) == want, (
+                        G.name, k, orbit.representative, other.representative)
+
+    def test_random_seeds(self):
+        for n, k, families, seed in random_cases():
+            for family in families:
+                want = brute_placement_order(n, family, seed.blocks)
+                assert placement_order(n, family, seed) == want, (n, k, family, seed)
+
+
 class TestFirstUnsectioned:
     """The depth-first partition search against the plain scan it replaced."""
 
@@ -190,19 +248,20 @@ class TestFirstUnsectioned:
                 families = [orbit.masks for orbit in orbits]
                 got = search(n, k, families)
                 assert got == scan_first_unsectioned(n, k, families), (G.name, n, k)
-                # The seeds of the all-orbit sweep: each representative in
-                # singleton blocks.
+                # Each representative in singleton blocks, every orbit at
+                # once.
                 for orbit in orbits:
                     seed = SubPartition.of([(p,) for p in orbit.representative])
                     got = search(n, k, families, seed)
-                    want = scan_first_unsectioned(n, k, families, seed.blocks)
+                    want = scan_first_unsectioned(
+                        n, k, families, seed.blocks, search_order(n, families, seed.blocks))
                     assert got == want, (G.name, n, k, orbit.representative)
 
     def test_matches_breadth_first(self, catalog_small):
         # All orbits of every 2 <= k < n, searched unseeded, as the naive
-        # decider does, and from each representative, as the all-orbit
-        # sweep does.  A holding search meets the same nodes per level as
-        # the breadth-first one (counted when it meets any).  A failing one
+        # decider does, and from each representative.  A holding search
+        # meets the same nodes per level as the breadth-first one in the
+        # same placement order (counted when it meets any).  A failing one
         # stops at the breadth-first search's first leaf and family; that
         # is checked to degree 8, as above it the frontiers take seconds.
         holds = fails = 0
@@ -217,35 +276,25 @@ class TestFirstUnsectioned:
                     blocks = ((),) * k if seed is None else seed.blocks
                     partition, i, profile = first_unsectioned(n, k, families, seed)
                     key = (G.name, n, k, blocks)
+                    free = search_order(n, families, blocks)
                     if partition is None:
                         holds += profile != [0]
-                        assert bfs_extension(families, n, blocks) == (None, None, profile), key
+                        assert bfs_extension(families, n, blocks, free) == (None, None, profile), key
                     elif n <= 8:
                         fails += 1
-                        first, j, _ = bfs_extension(families, n, blocks)
+                        first, j, _ = bfs_extension(families, n, blocks, free)
                         assert (partition, i) == (SetPartition.of(first), j), key
         assert holds > 70 and fails > 60
 
     def test_random_families(self):
-        # Families of k-sets that are no group's orbits: sparse ones fail
-        # early, dense ones late or never.
-        rng = random.Random(1108)
         seen = set()
-        for _ in range(400):
-            n = rng.randint(1, 8)
-            k = rng.randint(1, n)
-            ksets = [sum(1 << (p - 1) for p in c)
-                     for c in itertools.combinations(range(1, n + 1), k)]
-            families = []
-            for _ in range(rng.randint(1, 4)):
-                density = rng.choice((0.0, 0.3, 0.7, 0.9, 1.0))
-                families.append(frozenset(m for m in ksets if rng.random() < density))
+        for n, k, families, seed in random_cases():
             got = search(n, k, families)
             assert got == scan_first_unsectioned(n, k, families), (n, k, families)
             seen.add(("unseeded", got is None))
-            seed = random_seed(rng, n, k)
             got = search(n, k, families, seed)
-            want = scan_first_unsectioned(n, k, families, seed.blocks)
+            want = scan_first_unsectioned(
+                n, k, families, seed.blocks, search_order(n, families, seed.blocks))
             assert got == want, (n, k, families, seed)
             seen.add(("seeded", got is None))
         assert seen == {(mode, none) for mode in ("unseeded", "seeded")

@@ -8,7 +8,7 @@ import pytest
 from ut_lab.catalog import build_named
 from ut_lab.errors import CapExceeded
 from ut_lab import partitions
-from ut_lab.partitions import SetPartition, SubPartition, _has_section
+from ut_lab.partitions import SetPartition, SubPartition, _has_section, placement_order
 from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
 from ut_lab import set_orbits
 from ut_lab.set_orbits import KSetOrbit, kset_of_mask, mask_of, orbit_of_set, orbits_on_ksets
@@ -28,7 +28,14 @@ from ut_lab.ut_deciders import (
     validate_ut_witness,
 )
 
-from _oracles import bfs_extension, brute_orbit_universal, brute_two_graph, scan_first_unsectioned
+from _oracles import (
+    bfs_extension,
+    brute_orbit_universal,
+    brute_placement_order,
+    brute_two_graph,
+    dfs_extension,
+    scan_first_unsectioned,
+)
 
 
 class TestNaive:
@@ -231,9 +238,10 @@ class TestExtensionDecider:
             subpartition_extension_decider(G, 2, orbit, SubPartition.of([(1,), (9,)]))
 
     def test_undecided_on_tiny_frontier_cap(self, monkeypatch):
-        G = build_named("PSL(2,13)")
+        # The exact step's searches meet 3 nodes at one level here.
+        G = build_named("M11", 12)
         monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
-        verdict = has_kut(G, 3)
+        verdict = has_kut(G, 4)
         assert verdict.holds is None
         assert verdict.status == "undecided"
 
@@ -248,8 +256,10 @@ class TestExtensionDecider:
         assert max(verdict.detail["frontier_profile"]) <= 200
 
     def test_cap_raises_with_profile(self, monkeypatch):
-        G = build_named("PSL(2,13)")
-        orbit = orbits_on_ksets(G, 3)[1]
+        # This search meets one node at each of its first seven levels
+        # and two at the eighth.
+        G = build_named("AGL(1,13)")
+        orbit = orbits_on_ksets(G, 3)[2]
         seed = SubPartition.of([(1,), (2,), (3,)])
         monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
         with pytest.raises(CapExceeded) as err:
@@ -257,11 +267,14 @@ class TestExtensionDecider:
         # The count passes the cap at the first node past it, so .partial
         # is FRONTIER_CAP + 1 whatever the level's full size.
         assert err.value.partial == 2
-        assert err.value.profile[-1] == 2
+        assert err.value.profile == [1] * 7 + [2]
 
     def test_psl_2_27_k4_witness(self):
-        # The verdict, seed and witness the breadth-first search returned,
-        # recorded once; its frontier reached 25,528 subpartitions.
+        # The verdict, seed and witness the breadth-first search returns in
+        # the search's most-constrained-first order (placing 20, 24, 26
+        # and 28 first), recorded once; its frontier reached 18,888
+        # subpartitions.  In ascending order it reached 25,528 and its
+        # first leaf was the same partition.
         G = build_named("PSL(2,27)", 28)
         verdict = has_kut(G, 4, method="extend")
         assert verdict.holds is False
@@ -276,12 +289,14 @@ class TestExtensionDecider:
 class TestExtensionOracle:
     def test_matches_breadth_first(self):
         # Every (orbit, representative seed) pair of every catalog group of
-        # degree <= 14.  A holding seed meets the same subpartitions per level
-        # as the breadth-first search, whose frontier then empties after the
-        # same nodes.  On a failing seed the first surviving leaf is the
-        # breadth-first search's first; that is checked to degree 9, as above
-        # it the breadth-first frontiers of failing seeds take seconds.
-        # Every False is validated by the decider in any case.
+        # degree <= 14, placed most constrained first, an order checked
+        # here against its brute-force re-derivation.  A holding seed meets
+        # the same subpartitions per level as the breadth-first search in
+        # that order, whose frontier then empties after the same nodes.  On
+        # a failing seed the first surviving leaf is the breadth-first
+        # search's first; that is checked to degree 9, as above it the
+        # breadth-first frontiers of failing seeds take seconds.  Every
+        # False is validated by the decider in any case.
         fails = holds = 0
         for G in catalog_groups(14):
             n = G.degree
@@ -291,17 +306,44 @@ class TestExtensionOracle:
                     seed = SubPartition.of([(p,) for p in other.representative])
                     verdict = subpartition_extension_decider(G, k, orbit, seed)
                     key = (G.name, n, k, orbit.representative, other.representative)
+                    free = brute_placement_order(n, orbit.masks, seed.blocks)
+                    assert placement_order(n, orbit.masks, seed) == free, key
                     if verdict.holds:
                         holds += 1
-                        first, _, profile = bfs_extension([orbit.masks], n, seed.blocks)
+                        first, _, profile = bfs_extension([orbit.masks], n, seed.blocks, free)
                         assert first is None, key
                         assert verdict.detail["frontier_profile"] == profile, key
                     elif n <= 9:
                         fails += 1
-                        first, _, _ = bfs_extension([orbit.masks], n, seed.blocks)
+                        first, _, _ = bfs_extension([orbit.masks], n, seed.blocks, free)
                         assert verdict.holds is False, key
                         assert verdict.witness.partition == SetPartition.of(first), key
         assert fails > 200 and holds > 200
+
+    def test_same_verdict_as_ascending_order(self):
+        # Every (orbit, representative seed) pair of every catalog group of
+        # degree <= 12, k >= 2: the verdict does not depend on the placement
+        # order, so the search answers as the depth-first oracle does in
+        # ascending order, the order the search used before it placed the
+        # most constrained point first.  A failing seed stops at the
+        # oracle's first leaf in the search's own order.
+        seen = Counter()
+        for G in catalog_groups(12):
+            n = G.degree
+            for k in range(2, (n + 1) // 2 + 1):
+                orbits = orbits_on_ksets(G, k)
+                for orbit, other in itertools.product(orbits, repeat=2):
+                    seed = SubPartition.of([(p,) for p in other.representative])
+                    verdict = subpartition_extension_decider(G, k, orbit, seed)
+                    key = (G.name, n, k, orbit.representative, other.representative)
+                    ascending = dfs_extension(orbit.masks, n, seed.blocks)
+                    assert verdict.holds is (ascending is None), key
+                    if not verdict.holds:
+                        free = brute_placement_order(n, orbit.masks, seed.blocks)
+                        first = dfs_extension(orbit.masks, n, seed.blocks, free)
+                        assert verdict.witness.partition == SetPartition.of(first), key
+                    seen[verdict.holds] += 1
+        assert seen[True] > 500 and seen[False] > 5000
 
 
 class TestSectionProbe:
@@ -482,7 +524,7 @@ class TestBudgetExhausted:
 
     @pytest.mark.parametrize("owner,constant,value,name,k", [
         (set_orbits, "DEFAULT_ORBIT_CAP", 50, "AGL(1,13)", 4),
-        (partitions, "FRONTIER_CAP", 1, "PSL(2,13)", 3),
+        (partitions, "FRONTIER_CAP", 1, "AGL(1,7)", 4),
     ])
     def test_every_method_is_undecided(self, monkeypatch, owner, constant, value, name, k):
         monkeypatch.setattr(owner, constant, value)
@@ -494,7 +536,7 @@ class TestBudgetExhausted:
 
     @pytest.mark.parametrize("owner,constant,value", [
         (set_orbits, "DEFAULT_ORBIT_CAP", 50),
-        (partitions, "FRONTIER_CAP", 2),
+        (partitions, "FRONTIER_CAP", 1),
     ])
     def test_weak_kut_is_undecided(self, monkeypatch, owner, constant, value):
         # The orbit of {1,2,3} is the least universal one.  Either budget
@@ -508,7 +550,7 @@ class TestBudgetExhausted:
         monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
         for method in ("kut", "direct"):
             with pytest.raises(CapExceeded) as err:
-                regular_for_all_rank_k(build_named("PSL(2,13)"), 3, method=method)
+                regular_for_all_rank_k(build_named("AGL(1,7)"), 4, method=method)
             assert err.value.partial > 1, method
 
 

@@ -21,9 +21,10 @@ pinned to a CPU of its own, so a drift that outlasts a run falls on both
 runs of the same pair; the side launched first takes the first CPU, so
 each side alternates between the two CPUs as well.  This needs two CPUs
 in the script's affinity set, and that nothing else keeps them busy.
-For every metric the
-script prints both sides' median and quartiles, the relative change of the
-medians, and the number of pairs the change won.  It calls the metric a
+For every metric the script prints both sides' median and quartiles, the
+relative change of the medians, and the number of pairs the change won;
+below the table it prints each pair's change/parent ratio, pair 1 first,
+whichever side that pair launched first.  It calls the metric a
 gain or a loss only when the change won (or lost) at least nine pairs in
 ten and the medians differ by more than the parent's interquartile range.
 Short of that, a metric whose parent runs spread wider than its bound, the
@@ -141,6 +142,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def pair_ratios(old: list[float], new: list[float]) -> list[float | None]:
+    """Each pair's change/parent ratio, None where the parent read 0."""
+    return [b / a if a else None for a, b in zip(old, new)]
+
+
+def format_ratios(ratios: list[float | None]) -> str:
+    return " ".join("n/a" if r is None else f"{r:.3f}" for r in ratios)
+
+
 def metric_verdict(old: list[float], new: list[float], sign: int,
                    bound: float | None) -> str:
     """"gain", "loss", "unresolved" or "-" for one metric's paired runs.
@@ -179,7 +189,8 @@ def compare(workload: str, args, seconds: float, better: dict[str, str],
             print(f"not reported by the {side}, not compared: {', '.join(sorted(missing))}")
     print(f"{'metric':44} {'parent median [q1, q3]':>28} {'change median [q1, q3]':>28} "
           f"{'change':>8} {'wins':>6}  verdict     bound")
-    for name in (n for n in new_names if n in old_names):
+    shared = [n for n in new_names if n in old_names]
+    for name in shared:
         sign = 1 if better.get(name, "lower") == "higher" else -1
         old = [r[name] for r in runs["parent"]]
         new = [r[name] for r in runs["change"]]
@@ -191,6 +202,10 @@ def compare(workload: str, args, seconds: float, better: dict[str, str],
               + f" {nmed:10.4g} [{nq1:.4g}, {nq3:.4g}]".ljust(29)
               + (f" {rel:+8.1%}" if rel is not None else f" {'n/a':>8}")
               + f" {wins:>3}/{args.pairs:<3} {verdict:10}  {bound_note(rel, sign, bounds.get(name))}")
+    print("\nchange/parent ratio of each pair, pair 1 first")
+    for name in shared:
+        ratios = pair_ratios([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
+        print(f"{name:44} {format_ratios(ratios)}")
     print(flush=True)
 
 
