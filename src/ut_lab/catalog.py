@@ -187,17 +187,6 @@ def affine_1dim(q: int, gamma: bool = False) -> PermGroup:
     return PermGroup.from_gens([trans, mult], name=f"AGL(1,{q})")
 
 
-def agl1_index2_subgroup(p: int) -> PermGroup:
-    """The index-2 subgroup of AGL(1,p): translations and square multipliers."""
-    if not is_prime(p) or p % 2 == 0:
-        raise ValueError("need an odd prime")
-    F = GF.of(p)
-    g2 = F.mul(F.generator, F.generator)
-    return PermGroup.from_gens(
-        [_affine_perm(F, 1, 1), _affine_perm(F, g2, 0)], name=f"AGL(1,{p})_half"
-    )
-
-
 def frobenius_group(p: int, multiplier: int, name: str) -> PermGroup:
     """<x+1, cx> on GF(p); e.g. 7:3 with a multiplier of order 3."""
     F = GF.of(p)
@@ -287,17 +276,6 @@ def psl32_on_points() -> PermGroup:
     built from T0 and T1 T2 as in affine_matrix_group."""
     where = {v: i + 1 for i, v in enumerate(v for v in _all_vectors(3, 2) if any(v))}
     return PermGroup.from_gens(_transvection_pair(where, 3, 2), name="PSL(3,2)")
-
-
-def fano_lines() -> list[tuple[int, int, int]]:
-    """The 7 lines of PG(2,2) in the psl32_on_points labelling."""
-    vectors = [v for v in _all_vectors(3, 2) if any(v)]
-    index = {v: i + 1 for i, v in enumerate(vectors)}
-    lines = set()
-    for u, v in itertools.combinations(vectors, 2):
-        w = tuple((a + b) % 2 for a, b in zip(u, v))
-        lines.add(tuple(sorted((index[u], index[v], index[w]))))
-    return sorted(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -176,12 +176,3 @@ class GF:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        x, n = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n

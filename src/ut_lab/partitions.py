@@ -6,14 +6,17 @@ forms are equal.  Enumeration follows restricted-growth-string order, so the
 stream itself is canonical and deterministic.  One rule, `_next_blocks`,
 gives the blocks each point may take, for the enumeration and for the
 partition search alike; one more, `placement_order`, gives the order in
-which a seeded search of one family places its points.
+which a seeded search of one family places its points.  `section_test` is
+the one test of whether a k-set is a section of k disjoint blocks: the
+partition search scans a family with it, and the regularity test stops its
+orbit BFS with it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded
 
@@ -103,18 +106,6 @@ class SubPartition:
 
     def __str__(self) -> str:
         return "|".join(",".join(map(str, b)) for b in self.blocks)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k nonempty blocks."""
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    total = 0
-    for i in range(k + 1):
-        total += (-1) ** i * math.comb(k, i) * (k - i) ** n
-    return total // math.factorial(k)
 
 
 def _next_blocks(left: int, opened: int, k: int) -> range:
@@ -311,34 +302,24 @@ def _has_section(masks: frozenset[int], bits: list[list[int]]) -> bool:
 
     A k-set that meets k disjoint blocks meets each exactly once.  Cheaper
     side first: when the prod |B_i| candidate sections are no more than the
-    masks they are looked up, else the masks are scanned, filtering on the
-    smallest block.
+    masks they are looked up, else the masks are scanned with
+    `section_test`.
     """
     if math.prod(map(len, bits)) <= len(masks):
         return not masks.isdisjoint(map(sum, itertools.product(*bits)))
-    first, *rest = sorted(map(sum, bits), key=int.bit_count)
-    return any(all(map(m.__and__, rest)) for m in masks if m & first)
+    return any(map(section_test(map(sum, bits)), masks))
 
 
-def is_section(points: Iterable[int], partition: SetPartition | SubPartition) -> bool:
-    """True iff the set meets every block of the partition exactly once."""
-    pts = set(points)
-    if len(pts) != len(partition.blocks):
-        return False
-    for b in partition.blocks:
-        hits = sum(1 for p in b if p in pts)
-        if hits != 1:
-            return False
-    return True
+def section_test(block_masks: Iterable[int]) -> Callable[[int], int | bool]:
+    """The test "does a mask meet every one of these disjoint blocks?".
 
-
-def sections(partition: SetPartition | SubPartition) -> Iterator[tuple[int, ...]]:
-    """All sections of the partition (one point per block), lazily."""
-    return itertools.product(*partition.blocks)
-
-
-def section_count(partition: SetPartition | SubPartition) -> int:
-    return math.prod(len(b) for b in partition.blocks)
+    A k-set that meets k disjoint blocks meets each exactly once, so for a
+    k-set the test is "is it a section?".  The blocks are tried smallest
+    first, since the smallest block turns most masks away; a mask that
+    misses it gets 0, any other mask a bool.
+    """
+    first, *rest = sorted(block_masks, key=int.bit_count)
+    return lambda m: m & first and all(map(m.__and__, rest))
 
 
 def singleton_tail_partition(heads: Sequence[int], n: int) -> SetPartition:
@@ -357,34 +338,3 @@ def singleton_tail_partition(heads: Sequence[int], n: int) -> SetPartition:
         raise ValueError("need fewer heads than points")
     tail = tuple(p for p in range(1, n + 1) if p not in set(hs))
     return SetPartition.of([(h,) for h in hs] + [tail])
-
-
-def steiner_bad_partition(
-    block: Iterable[int], inside: Iterable[int], n: int, k: int
-) -> SetPartition:
-    """The k-block partition witnessing the Steiner-system obstruction.
-
-    Given a design block and k-2 chosen points inside it, the blocks are the
-    k-2 singletons, the rest of the design block, and everything else.  No
-    k-set contained in a design block can be a section of this partition.
-    """
-    blk = set(block)
-    ins = sorted(set(inside))
-    if len(ins) != k - 2:
-        raise ValueError(f"need exactly k-2={k - 2} inside points, got {len(ins)}")
-    if not set(ins) <= blk:
-        raise ValueError("inside points must lie in the block")
-    if not blk <= set(range(1, n + 1)):
-        raise ValueError("block must lie in {1..n}")
-    if len(blk) >= n:
-        raise ValueError("block must be proper")
-    middle = tuple(sorted(blk - set(ins)))
-    if not middle:
-        raise ValueError("block minus inside points must be nonempty")
-    rest = tuple(p for p in range(1, n + 1) if p not in blk)
-    return SetPartition.of([(h,) for h in ins] + [middle, rest])
-
-
-def relabel(partition: SetPartition, images: Sequence[int]) -> SetPartition:
-    """Apply a relabelling (p -> images[p-1]) to every point of the partition."""
-    return SetPartition.of([[images[p - 1] for p in b] for b in partition.blocks])

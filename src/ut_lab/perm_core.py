@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DegreeMismatch, NotTransitiveError
+from .errors import DegreeMismatch, NotTransitiveError
 from .partitions import SetPartition
 
 MAX_DEGREE = 512
-# The elements `elements_bfs` may list.  Read at call time.
-ELEMENTS_BFS_CAP = 10**6
 
 Images = tuple[int, ...]
 
@@ -41,10 +39,6 @@ def _inv(p: Images) -> Images:
     for i, x in enumerate(p):
         out[x - 1] = i + 1
     return tuple(out)
-
-
-def _is_identity(p: Images) -> bool:
-    return all(x == i + 1 for i, x in enumerate(p))
 
 
 @dataclass(frozen=True)
@@ -107,9 +101,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation(_inv(self.images))
-
-    def is_identity(self) -> bool:
-        return _is_identity(self.images)
 
     def cycle_string(self) -> str:
         seen: set[int] = set()
@@ -369,34 +360,6 @@ def group_order(G: PermGroup) -> int:
     return G.order
 
 
-def elements_bfs(G: PermGroup) -> set[Permutation]:
-    """All group elements by closure BFS over the generators.
-
-    Independent of the stabilizer chain; intended as a cross-check oracle for
-    small groups.  Raises CapExceeded beyond ELEMENTS_BFS_CAP elements.
-    """
-    # Each generator is padded with a 0th entry, so that for 1-based images
-    # p the left-to-right product p * g is itemgetter(*p)(g), one C-level
-    # pass; at degree 1 that itemgetter would return an item, not a tuple.
-    start = _identity_images(G.degree)
-    if G.degree == 1:
-        return {Permutation(start)}
-    cap = ELEMENTS_BFS_CAP
-    gens = [(0,) + g for g in G.gen_images()]
-    seen: set[Images] = {start}
-    queue = deque([start])
-    while queue:
-        times = itemgetter(*queue.popleft())
-        for g in gens:
-            q = times(g)
-            if q not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("element closure cap exceeded", len(seen))
-                seen.add(q)
-                queue.append(q)
-    return {Permutation(p) for p in seen}
-
-
 def orbits_on_points(G: PermGroup) -> list[tuple[int, ...]]:
     """The orbits of the group on points, each sorted, ordered by minimum."""
     gens = G.gen_images()
@@ -452,10 +415,6 @@ class BlockSystem:
     """A nontrivial group-invariant partition into equal-size blocks."""
 
     blocks: SetPartition
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks.blocks[0])
 
     @property
     def num_blocks(self) -> int:
@@ -518,23 +477,3 @@ def nontrivial_block_system(G: PermGroup) -> BlockSystem | None:
     if best is None:
         return None
     return BlockSystem(SetPartition.of(best))
-
-
-def is_primitive(G: PermGroup) -> bool:
-    """True iff the transitive group G has no nontrivial block system."""
-    return nontrivial_block_system(G) is None
-
-
-def block_system_is_valid(G: PermGroup, system: BlockSystem) -> bool:
-    """Direct assertion of the invariant: generators permute the blocks."""
-    blocks = [frozenset(b) for b in system.blocks.blocks]
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1 or G.degree % len(blocks) != 0:
-        return False
-    block_set = set(blocks)
-    for g in G.generators:
-        for b in blocks:
-            image = frozenset(g.apply(p) for p in b)
-            if image not in block_set:
-                return False
-    return True

@@ -1,13 +1,16 @@
-"""Transformations, quasi-permutations, and regularity in <a, G>.
+"""Transformations and regularity in <a, G> and inside a semigroup.
 
 The regularity test never enumerates group elements: a transformation a is
 regular in <a, G> exactly when the orbit of its image under G contains a
-section (transversal) of its kernel.  The orbit's BFS stops at the first
-member that is a section, and the witnessing group element is recovered
-from the parent pointers it has so far; only a non-regular map pays for
-the whole orbit.  Every rank-k map is regular exactly when every k-set
-orbit sections every k-partition, which `ut_deciders.seeded_sweep` answers
-by stopping at the first partition some orbit misses.  Inside a given
+section (transversal) of its kernel.  The orbit's BFS is stopped by
+`partitions.section_test` of the kernel, at the first member that is a
+section, and the witnessing group element is recovered from the parent
+pointers it has so far; only a non-regular map pays for the whole orbit.
+Every rank-k map is regular exactly when every k-set orbit sections every
+k-partition, which `ut_deciders.seeded_sweep` answers by stopping at the
+first partition some orbit misses.  Every rank-k quasi-permutation is
+regular exactly when G is (n-k, n-k+1)-homogeneous, which
+`set_orbits.is_ij_homogeneous` answers.  Inside a given
 semigroup, b is regular when some element maps each point of image(b)
 into b's fiber over it, which `_regularity_test` looks up among the
 elements' restrictions to image(b).  Heavy closures run on raw image
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, DegreeMismatch
-from .partitions import SetPartition
+from .partitions import SetPartition, section_test
 from . import set_orbits
 from .perm_core import PermGroup, Permutation, _mult
 from .set_orbits import (
@@ -75,9 +78,6 @@ class Transformation:
     def apply(self, point: int) -> int:
         return self.images[point - 1]
 
-    def is_permutation(self) -> bool:
-        return self.rank == self.degree
-
     @classmethod
     def from_permutation(cls, p: Permutation) -> "Transformation":
         return cls(p.images)
@@ -96,19 +96,6 @@ class Transformation:
 
     def __mul__(self, other: "Transformation") -> "Transformation":
         return t_compose(self, other)
-
-
-class QuasiPermutation(Transformation):
-    """A transformation whose kernel has at most one non-singleton class."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not is_quasi_permutation(self):
-            raise ValueError("a quasi-permutation has at most one big kernel class")
-
-
-def is_quasi_permutation(t: Transformation) -> bool:
-    return sum(1 for b in t.kernel().blocks if len(b) > 1) <= 1
 
 
 def t_compose(a: Transformation, b: Transformation) -> Transformation:
@@ -131,23 +118,25 @@ def is_regular_in(a: Transformation, G: PermGroup) -> RegularityResult:
     """Is a regular in <a, G>?  True iff rank(a g a) = rank(a) for some g in G.
 
     Decided without enumerating G: the orbit of image(a) must contain a
-    section of kernel(a).  The orbit's BFS stops at the first section it
-    reaches, and the witness g is rebuilt from the parent pointers up to
-    it; g is deterministic and satisfies rank(a g a) = rank(a).  Raises
-    CapExceeded past `set_orbits.DEFAULT_ORBIT_CAP` orbit members.
+    section of kernel(a).  The kernel's `section_test` is built once; it
+    stops the orbit's BFS at the first section reached, and tells whether
+    the BFS stopped there or ran out of members.  The witness g is rebuilt
+    from the parent pointers up to that section; g is deterministic and
+    satisfies rank(a g a) = rank(a).  Raises CapExceeded past
+    `set_orbits.DEFAULT_ORBIT_CAP` orbit members.
     """
     if a.degree != G.degree:
         raise DegreeMismatch("transformation and group degrees differ")
     n = G.degree
     if a.rank == n:
         return RegularityResult(True, G.identity())
-    blocks = [mask_of(b) for b in a.kernel().blocks]
+    is_section = section_test(mask_of(b) for b in a.kernel().blocks)
     parents = _orbit_masks(
-        G, mask_of(a.image_set()), set_orbits.DEFAULT_ORBIT_CAP, section_of=blocks
+        G, mask_of(a.image_set()), set_orbits.DEFAULT_ORBIT_CAP, stop=is_section
     )
     # The BFS stopped at its last member if and only if that is a section.
     target = next(reversed(parents))
-    if not all(map(target.__and__, blocks)):
+    if not is_section(target):
         return RegularityResult(False)
     g = Permutation(trace_orbit_word(G, parents, target))
     composite = t_compose(t_compose(a, Transformation.from_permutation(g)), a)
@@ -321,35 +310,3 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     return seeded_sweep(
         [o.masks for o in orbits], [o.representative for o in orbits], n, k
     ) is None
-
-
-def quasi_regularity_classifier(
-    G: PermGroup, k: int, method: str = "homogeneity"
-) -> bool:
-    """Is every rank-k quasi-permutation regular in <a, G>?
-
-    Equivalent to (n-k, n-k+1)-homogeneity: the complement of the image must
-    travel into the big kernel class.  method="direct" enumerates big-block
-    orbit representatives times image orbit representatives instead.
-    """
-    from .set_orbits import is_ij_homogeneous
-
-    n = G.degree
-    if not 1 < k < n:
-        raise ValueError(f"need 1 < k < n, got k={k}")
-    if method == "homogeneity":
-        ok, _ = is_ij_homogeneous(G, n - k, n - k + 1)
-        return ok
-    if method != "direct":
-        raise ValueError(f"unknown method {method!r}")
-    big_reps = [o.representative for o in orbits_on_ksets(G, n - k + 1)]
-    image_reps = [o.representative for o in orbits_on_ksets(G, k)]
-    for big in big_reps:
-        big_points = set(big)
-        heads = [p for p in range(1, n + 1) if p not in big_points]
-        for image in image_reps:
-            blocks = [(h,) for h in heads] + [big]
-            a = transformation_from_parts(blocks, image)
-            if not is_regular_in(a, G).regular:
-                return False
-    return True

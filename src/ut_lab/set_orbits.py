@@ -17,9 +17,9 @@ walked twice, whichever question comes first.  Before any orbit is walked,
 k-homogeneous.
 
 Generators act on masks through lookup tables built once per group (see
-`_generator_tables`).  A k-set is a section of k disjoint blocks iff it
-meets every block; `_orbit_masks` asks that of each new member when the
-regularity test wants its BFS to stop at the first section.
+`_generator_tables`).  `_orbit_masks` takes an optional stop predicate on
+masks and ends its BFS at the first member that satisfies it; the
+regularity test passes the section test of a kernel there.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from operator import getitem
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded
 from .perm_core import Images, PermGroup, transitivity_degree
@@ -171,25 +171,21 @@ def _generator_tables(G: PermGroup) -> tuple[int, tuple]:
 
 
 def _orbit_masks(
-    G: PermGroup, start_mask: int, cap: int, section_of: Sequence[int] | None = None
+    G: PermGroup, start_mask: int, cap: int, stop: Callable[[int], object] | None = None
 ) -> dict[int, int | None]:
     """BFS orbit of a set-mask; maps each member to the member it was first
     reached from, and the start mask to None.
 
-    With `section_of`, the masks of disjoint blocks, the BFS stops at the
-    first member, the start included, that meets every block: that member
-    is the last key of the partial map returned.  Raises CapExceeded past
-    `cap` members.
+    With `stop`, a predicate on masks, the BFS ends at the first member,
+    the start included, for which it is true: that member is the last key
+    of the partial map returned.  Raises CapExceeded past `cap` members.
     """
     nbytes, tables = _generator_tables(G)
     parents: dict[int, int | None] = {start_mask: None}
-    # The full BFS tests only the `stop` flag per new member; the section
-    # test filters on the smallest block first.
-    stop = bool(section_of)
-    if stop:
-        first, *rest = sorted(section_of, key=int.bit_count)
-        if start_mask & first and all(map(start_mask.__and__, rest)):
-            return parents
+    # A full walk tests one local flag per new member.
+    stopping = stop is not None
+    if stopping and stop(start_mask):
+        return parents
     frontier = [start_mask]
     while frontier:
         fresh = []
@@ -199,7 +195,7 @@ def _orbit_masks(
                 im = sum(map(getitem, table, keys))
                 if im not in parents:
                     parents[im] = m
-                    if stop and im & first and all(map(im.__and__, rest)):
+                    if stopping and stop(im):
                         return parents
                     fresh.append(im)
             if len(parents) > cap:
@@ -371,7 +367,10 @@ def is_ij_homogeneous(
     m-transitive group with m >= min(i, n - i)) or off the i-set orbits,
     which the test needs anyway, never off the complements.  Otherwise the
     j-set orbits are read from the group's enumeration one at a time, so a
-    failure leaves the rest unwalked.
+    failure leaves the rest unwalked.  With i = n-k and j = n-k+1 this
+    answers whether every rank-k quasi-permutation (a map whose kernel has
+    one class of more than one point) is regular in <a, G>: the complement
+    of its image must map into that class.
     """
     n = G.degree
     if not 1 <= i <= j <= n:

@@ -208,9 +208,6 @@ class AuxGraph:
         out.sort(key=lambda c: c[0])
         return out
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
 
 def aux_graph(G: PermGroup, B, c: int) -> AuxGraph:
     """The graph whose edges {x, y} satisfy {x, y} union B in the orbit of
@@ -262,16 +259,6 @@ class _PairIndex:
             pair for b in C for pair in self.pairs[b] if C.isdisjoint(pair)
         )
         return AuxGraph(tuple(sorted(C)), apex, vertices, edges)
-
-
-def gamma_graph(G: PermGroup, C, c: int) -> AuxGraph:
-    """Union over b in C of the pair-graphs G(b, c), restricted outside C."""
-    if not is_k_homogeneous(G, 2):
-        raise ValueError("the gamma graph needs a 2-homogeneous group")
-    C_set = set(as_kset(C, G.degree))
-    if c in C_set or c in (1, 2):
-        raise ValueError("apex must avoid C and {1, 2}")
-    return _PairIndex(orbit_of_set(G, (1, 2, c)), G.degree).gamma(C_set, c)
 
 
 def connectivity_prune(G: PermGroup, k: int) -> UtVerdict | None:

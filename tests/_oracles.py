@@ -23,12 +23,20 @@ pair of words in them, on the library's field labelling; `closure_block_system`,
 congruence closure that primitivity was before 2-transitive groups were
 answered from the chain; and `point_byte_tables`, the point-by-point build
 of the generator byte tables.
+
+Four more checkers moved here from the library, which never ran them:
+`is_section`, the exactly-once test of a point set against a partition;
+`block_system_is_valid`, that the generators permute a block system's
+blocks; `elements_bfs`, the closure of every group element; and
+`quasi_regular_by_maps`, the regularity test of one quasi-permutation per
+pair of orbit representatives, against which (n-k, n-k+1)-homogeneity
+answers the rank-k quasi-permutation question.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
 
 def s3_cayley_table() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]:
@@ -591,3 +599,83 @@ def natural_generators(kind: str, params: tuple) -> list[tuple[int, ...]] | None
             gens.append(act(lambda v: (v[0] * GF.of(p).generator % p,) + v[1:]))
         return gens
     return None
+
+
+def is_section(points, partition) -> bool:
+    """True iff the set meets every block of the partition exactly once."""
+    pts = set(points)
+    if len(pts) != len(partition.blocks):
+        return False
+    for b in partition.blocks:
+        hits = sum(1 for p in b if p in pts)
+        if hits != 1:
+            return False
+    return True
+
+
+def block_system_is_valid(G, system) -> bool:
+    """Direct assertion of the invariant: generators permute the blocks."""
+    blocks = [frozenset(b) for b in system.blocks.blocks]
+    sizes = {len(b) for b in blocks}
+    if len(sizes) != 1 or G.degree % len(blocks) != 0:
+        return False
+    block_set = set(blocks)
+    for g in G.generators:
+        for b in blocks:
+            image = frozenset(g.apply(p) for p in b)
+            if image not in block_set:
+                return False
+    return True
+
+
+# The elements `elements_bfs` may list.
+ELEMENTS_BFS_CAP = 10**6
+
+
+def elements_bfs(G):
+    """All group elements, as `Permutation`s, by closure BFS over the
+    generators, independent of the stabilizer chain.
+
+    Raises CapExceeded beyond ELEMENTS_BFS_CAP elements.
+    """
+    from operator import itemgetter
+
+    from ut_lab.errors import CapExceeded
+    from ut_lab.perm_core import Permutation
+
+    # Each generator is padded with a 0th entry, so that for 1-based images
+    # p the left-to-right product p * g is itemgetter(*p)(g), one C-level
+    # pass; at degree 1 that itemgetter would return an item, not a tuple.
+    start = tuple(range(1, G.degree + 1))
+    if G.degree == 1:
+        return {Permutation(start)}
+    gens = [(0,) + g for g in G.gen_images()]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        times = itemgetter(*queue.popleft())
+        for g in gens:
+            q = times(g)
+            if q not in seen:
+                if len(seen) >= ELEMENTS_BFS_CAP:
+                    raise CapExceeded("element closure cap exceeded", len(seen))
+                seen.add(q)
+                queue.append(q)
+    return {Permutation(p) for p in seen}
+
+
+def quasi_regular_by_maps(G, k: int) -> bool:
+    """Is every rank-k quasi-permutation regular in <a, G>?  One map per
+    orbit representative of the big kernel class (an (n-k+1)-set, the
+    other points singletons) and orbit representative of the image (a
+    k-set), each asked of `is_regular_in`."""
+    from ut_lab.semigroup import is_regular_in, transformation_from_parts
+    from ut_lab.set_orbits import orbits_on_ksets
+
+    n = G.degree
+    for big in (o.representative for o in orbits_on_ksets(G, n - k + 1)):
+        heads = [(p,) for p in range(1, n + 1) if p not in big]
+        for image in (o.representative for o in orbits_on_ksets(G, k)):
+            if not is_regular_in(transformation_from_parts(heads + [big], image), G).regular:
+                return False
+    return True

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -7,7 +8,6 @@ from ut_lab.catalog import (
     build,
     build_named,
     catalog_manifest,
-    fano_lines,
     find_spec,
     format_group_file,
     load_group_file,
@@ -15,7 +15,7 @@ from ut_lab.catalog import (
 )
 from ut_lab.errors import MissingDataError
 from ut_lab.perm_core import Permutation, is_transitive, transitivity_degree
-from ut_lab.set_orbits import orbits_on_ksets
+from ut_lab.set_orbits import kset_of_mask, orbits_on_ksets
 
 from _oracles import brute_kset_orbit_sizes, natural_generators
 
@@ -197,6 +197,14 @@ class TestGroupFiles:
 
 class TestFano:
     def test_lines_form_steiner_system(self):
-        lines = fano_lines()
+        # PSL(3,2) on the points of PG(2,2) keeps its 7 lines as one orbit
+        lines = [
+            kset_of_mask(m)
+            for o in orbits_on_ksets(build_named("PSL(3,2)", 7), 3) if o.size == 7
+            for m in o.masks
+        ]
         assert len(lines) == 7
         assert all(len(L) == 3 for L in lines)
+        # S(2,3,7): every pair of points lies on exactly one line
+        for pair in itertools.combinations(range(1, 8), 2):
+            assert sum(1 for L in lines if set(pair) <= set(L)) == 1

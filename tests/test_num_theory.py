@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ut_lab.catalog import agl1_index2_subgroup, build_named
+from ut_lab.catalog import build_named
 from ut_lab.num_theory import (
     SieveRow,
     agl_criterion,
@@ -11,7 +11,6 @@ from ut_lab.num_theory import (
     sixth_root_shortcut,
     subgroup_order,
 )
-from ut_lab.perm_core import is_transitive
 from ut_lab.ut_deciders import aux_graph
 
 
@@ -115,8 +114,3 @@ class TestCrossModule:
         comps = {c for c in graph.components()}
         H_labels = tuple(sorted(h + 1 for h in (1, 3, 4, 9, 10, 12)))
         assert H_labels in comps
-
-    def test_index2_subgroup_builds(self):
-        H = agl1_index2_subgroup(11)
-        assert H.order == 55
-        assert is_transitive(H)

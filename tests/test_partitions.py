@@ -1,30 +1,26 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ut_lab.catalog import fano_lines
+from ut_lab.catalog import build_named
 from ut_lab.partitions import (
     SetPartition,
     SubPartition,
     enumerate_kpartitions,
     first_unsectioned,
-    is_section,
     placement_order,
-    relabel,
-    section_count,
-    sections,
+    section_test,
     singleton_tail_partition,
-    steiner_bad_partition,
-    stirling2,
 )
-
-from ut_lab.set_orbits import mask_of, orbits_on_ksets
+from ut_lab.set_orbits import kset_of_mask, mask_of, orbits_on_ksets
 
 from _oracles import (
     bfs_extension,
     brute_placement_order,
+    is_section,
     scan_first_unsectioned,
     search_order,
     stirling_recurrence,
@@ -47,7 +43,7 @@ class TestEnumeration:
     def test_counts_match_recurrence(self, n):
         for k in range(1, n + 1):
             count = sum(1 for _ in enumerate_kpartitions(n, k))
-            assert count == stirling_recurrence(n, k) == stirling2(n, k)
+            assert count == stirling_recurrence(n, k)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stream_is_lexicographic_rgs(self, n):
@@ -116,16 +112,28 @@ class TestSections:
 
     def test_sections_enumeration(self):
         P = SetPartition.parse("1,2|3|4,5")
-        got = set(sections(P))
-        assert len(got) == section_count(P) == 4
+        test = section_test(mask_of(b) for b in P.blocks)
+        got = {S for S in itertools.combinations(range(1, 6), 3) if test(mask_of(S))}
+        assert len(got) == math.prod(map(len, P.blocks)) == 4
         assert all(is_section(s, P) for s in got)
 
     @given(st.permutations(list(range(1, 8))))
     def test_relabel_invariance(self, images):
         P = SetPartition.of([(1, 4), (2, 3, 7), (5,), (6,)])
+        relabelled = SetPartition.of([[images[p - 1] for p in b] for b in P.blocks])
         S = (1, 2, 5, 6)
         mapped = [images[p - 1] for p in S]
-        assert is_section(S, P) == is_section(mapped, relabel(P, images))
+        assert bool(section_test(mask_of(b) for b in P.blocks)(mask_of(S))) == bool(
+            section_test(mask_of(b) for b in relabelled.blocks)(mask_of(mapped))
+        )
+        assert is_section(S, P) == is_section(mapped, relabelled)
+
+    def test_section_test_agrees(self):
+        # every 3-set of {1..7} against every 3-partition
+        for P in enumerate_kpartitions(7, 3):
+            test = section_test(mask_of(b) for b in P.blocks)
+            for S in itertools.combinations(range(1, 8), 3):
+                assert bool(test(mask_of(S))) == is_section(S, P), (S, str(P))
 
 
 class TestSingletonTail:
@@ -136,7 +144,7 @@ class TestSingletonTail:
 
     def test_section_must_contain_heads(self):
         P = singleton_tail_partition((2, 5), 7)
-        for s in sections(P):
+        for s in itertools.product(*P.blocks):
             assert {2, 5} <= set(s)
 
     def test_errors(self):
@@ -149,26 +157,17 @@ class TestSingletonTail:
 
 
 class TestSteinerBadPartition:
-    def test_unfolding(self):
-        P = steiner_bad_partition(block=(1, 2, 3, 4), inside=(1, 2), n=8, k=4)
-        assert str(P) == "1|2|3,4|5,6,7,8"
-
     def test_fano_lines_are_never_sections(self):
-        lines = fano_lines()
-        assert len(lines) == 7
-        # S(2,3,7): every pair of points lies on exactly one line
-        for pair in itertools.combinations(range(1, 8), 2):
-            assert sum(1 for L in lines if set(pair) <= set(L)) == 1
-        block = lines[0]
-        P = steiner_bad_partition(block=block, inside=block[:1], n=7, k=3)
-        for L in lines:
-            assert not is_section(L, P)
-
-    def test_precondition_violation(self):
-        with pytest.raises(ValueError):
-            steiner_bad_partition(block=(1, 2), inside=(1, 2), n=8, k=4)
-        with pytest.raises(ValueError):
-            steiner_bad_partition(block=(1, 2, 3), inside=(4,), n=8, k=3)
+        # The lines of PG(2,2) are the 7-member 3-set orbit of PSL(3,2).
+        # Singletons of k-2 points of a line, the rest of the line, and the
+        # rest: no line is a section, so that orbit misses the partition.
+        (lines,) = (o for o in orbits_on_ksets(build_named("PSL(3,2)", 7), 3) if o.size == 7)
+        block = kset_of_mask(min(lines.masks))
+        P = SetPartition.of([block[:1], block[1:], [p for p in range(1, 8) if p not in block]])
+        test = section_test(mask_of(b) for b in P.blocks)
+        for m in lines.masks:
+            assert not test(m)
+            assert not is_section(kset_of_mask(m), P)
 
 
 def search(n, k, families, seed=None):

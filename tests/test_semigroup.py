@@ -6,28 +6,27 @@ from hypothesis import given, strategies as st
 from ut_lab.catalog import build_named
 from ut_lab.errors import DegreeMismatch
 from ut_lab.perm_core import PermGroup, Permutation
+from ut_lab.partitions import section_test
 from ut_lab.semigroup import (
-    QuasiPermutation,
     Transformation,
     _closure_tuples,
     _regularity_test,
-    is_quasi_permutation,
     is_regular_in,
     is_regular_semigroup,
-    quasi_regularity_classifier,
     regular_for_all_rank_k,
     regular_in_closure,
     semigroup_closure,
     t_compose,
     transformation_from_parts,
 )
-from ut_lab.set_orbits import _orbit_masks, mask_of, orbit_of_set
+from ut_lab.set_orbits import _orbit_masks, is_ij_homogeneous, mask_of, orbit_of_set
 from ut_lab.ut_deciders import has_kut_naive
 
 from _oracles import (
     brute_semigroup_closure,
     brute_set_orbit,
     closure_regular_unpruned,
+    quasi_regular_by_maps,
     scan_regular_inside,
 )
 
@@ -63,12 +62,6 @@ class TestTransformation:
     @given(transformations6, transformations6)
     def test_rank_bound(self, a, b):
         assert t_compose(a, b).rank <= min(a.rank, b.rank)
-
-    def test_quasi_permutation(self):
-        QuasiPermutation((1, 1, 2, 3))
-        assert is_quasi_permutation(Transformation((1, 1, 2, 3)))
-        with pytest.raises(ValueError):
-            QuasiPermutation((1, 1, 2, 2))
 
     def test_from_parts(self):
         a = transformation_from_parts([(1, 2), (3,), (4, 5)], (5, 1, 3))
@@ -154,7 +147,7 @@ class TestEarlyStoppingBfs:
         a = transformation_from_parts([(1, 4, 5), (2, 6), (3, 7, 8)], (1, 2, 3))
         start = mask_of(a.image_set())
         blocks = [mask_of(b) for b in a.kernel().blocks]
-        assert _orbit_masks(G, start, 10**7, section_of=blocks) == {start: None}
+        assert _orbit_masks(G, start, 10**7, stop=section_test(blocks)) == {start: None}
         assert is_regular_in(a, G).witness.images == G.identity().images
 
     def test_regular_map_stops_inside_the_orbit(self):
@@ -163,7 +156,7 @@ class TestEarlyStoppingBfs:
         a = transformation_from_parts(blocks, (1, 7, 13, 19, 2, 8))
         start = mask_of(a.image_set())
         block_masks = [mask_of(b) for b in blocks]
-        parents = _orbit_masks(G, start, 10**7, section_of=block_masks)
+        parents = _orbit_masks(G, start, 10**7, stop=section_test(block_masks))
         assert 1 < len(parents) < orbit_of_set(G, a.image_set()).size
         target = next(reversed(parents))
         assert all(target & b for b in block_masks)
@@ -286,7 +279,7 @@ class TestRegularSemigroup:
 
 
 def _all_elements(G):
-    from ut_lab.perm_core import elements_bfs
+    from _oracles import elements_bfs
 
     return elements_bfs(G)
 
@@ -324,8 +317,9 @@ class TestRankKClassifiers:
     )
     def test_quasi_regularity(self, name, degree, k, expected):
         G = build_named(name, degree)
-        assert quasi_regularity_classifier(G, k) is expected
-        assert quasi_regularity_classifier(G, k, method="direct") is expected
+        n = G.degree
+        assert is_ij_homogeneous(G, n - k, n - k + 1)[0] is expected
+        assert quasi_regular_by_maps(G, k) is expected
 
     def test_asl23_quasi_counterexample_by_closure(self):
         # independent confirmation that the rank-4 quasi map is non-regular
@@ -333,7 +327,7 @@ class TestRankKClassifiers:
         a = transformation_from_parts(
             [(1, 2, 3, 4, 5, 6), (7,), (8,), (9,)], (5, 1, 2, 4)
         )
-        assert is_quasi_permutation(a) and a.rank == 4
+        assert sum(len(b) > 1 for b in a.kernel().blocks) <= 1 and a.rank == 4
         assert not is_regular_in(a, G).regular
         assert not regular_in_closure(a, G)
 

@@ -282,8 +282,8 @@ class TestOneEnumeration:
         # AGL(1,13) is neither 4- nor 5-homogeneous.  Above the midpoint,
         # is_ij_homogeneous reads i-homogeneity off the i-set orbits it
         # needs anyway; the first orbit of the complements, 78 masks that
-        # nothing after it reuses, is not walked
-        from ut_lab.semigroup import quasi_regularity_classifier
+        # nothing after it reuses, is not walked.  The (9, 10) question is
+        # whether every rank-4 quasi-permutation is regular
 
         walked = []
         real = set_orbits._orbit_masks
@@ -299,7 +299,7 @@ class TestOneEnumeration:
             # the first 8-set orbit and the witness check
             (lambda G: has_kut(G, 8), 78 + math.comb(13, 7) + 78 + 78),
             (lambda G: is_ij_homogeneous(G, 8, 9), math.comb(13, 8) + 78),
-            (lambda G: quasi_regularity_classifier(G, 4), math.comb(13, 9) + 78),
+            (lambda G: is_ij_homogeneous(G, 9, 10), math.comb(13, 9) + 78),
         ):
             walked.clear()
             question(build_named("AGL(1,13)"))

@@ -9,16 +9,16 @@ from ut_lab.catalog import build_named
 from ut_lab.errors import CapExceeded
 from ut_lab import partitions
 from ut_lab.partitions import SetPartition, SubPartition, _has_section, placement_order
-from ut_lab.perm_core import PermGroup, Permutation, is_primitive, is_transitive
+from ut_lab.perm_core import PermGroup, Permutation, is_transitive, nontrivial_block_system
 from ut_lab import set_orbits
 from ut_lab.set_orbits import KSetOrbit, kset_of_mask, mask_of, orbit_of_set, orbits_on_ksets
 from ut_lab.verify import catalog_groups
 from ut_lab.semigroup import regular_for_all_rank_k
 from ut_lab.ut_deciders import (
+    _PairIndex,
     aux_graph,
     bad_partition_search_3ut,
     connectivity_prune,
-    gamma_graph,
     has_kut,
     has_kut_naive,
     has_weak_kut,
@@ -86,7 +86,7 @@ class TestNaive:
         for G in catalog_small:
             if G.degree > 8 or not is_transitive(G):
                 continue
-            assert has_kut_naive(G, 2).holds == is_primitive(G), G.name
+            assert has_kut_naive(G, 2).holds == (nontrivial_block_system(G) is None), G.name
 
 
 class TestWitnessCheckIndependence:
@@ -132,7 +132,7 @@ class TestAuxGraph:
 
     def test_agl_1_7_connected(self):
         graph = aux_graph(build_named("AGL(1,7)"), B=(7,), c=3)
-        assert graph.is_connected()
+        assert len(graph.components()) <= 1
 
     def test_edge_definition(self):
         G = build_named("AGL(1,17)")
@@ -144,6 +144,12 @@ class TestAuxGraph:
     def test_precondition(self):
         with pytest.raises(ValueError):
             aux_graph(build_named("C6"), B=(6,), c=3)  # not 2-homogeneous
+
+
+def gamma_graph(G, C, c):
+    """The union over b in C of the pair-graphs G(b, c), restricted outside
+    C, read off the pair index that the growth diagnostic uses."""
+    return _PairIndex(orbit_of_set(G, (1, 2, c)), G.degree).gamma(set(C), c)
 
 
 class TestGammaGraph:
@@ -491,7 +497,7 @@ class TestHasKut:
         for orbit in orbits_on_ksets(G, 3):
             member = min(m for m in orbit.masks if m & 3 == 3)
             c = next(p for p in range(3, 8) if member >> (p - 1) & 1)
-            assert aux_graph(G, B=(1,), c=c).is_connected() or c <= 2
+            assert len(aux_graph(G, B=(1,), c=c).components()) <= 1 or c <= 2
 
 
 class TestWeakKut:
