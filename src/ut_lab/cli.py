@@ -73,11 +73,6 @@ def cmd_ut(args) -> int:
     report.methods[key] = verdict.method
     if verdict.witness is not None and (args.witness or verdict.holds is False):
         report.witnesses[key] = str(verdict.witness)
-    profile = verdict.detail.get("frontier_profile") or verdict.detail.get(
-        "frontier_profiles"
-    )
-    if profile and (args.witness or args.method == "extend"):
-        report.tables["frontier_profile"] = [str(profile)]
     return _finish(report, t0, args.json)
 
 

@@ -154,9 +154,6 @@ class GF:
         row = self._add[a]
         return row.index(0)
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self.neg(b)]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")

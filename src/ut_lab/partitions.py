@@ -62,10 +62,6 @@ class SetPartition:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def __str__(self) -> str:
         return "|".join(",".join(map(str, b)) for b in self.blocks)
 
@@ -95,14 +91,6 @@ class SubPartition:
                     raise ValueError(f"point {p} appears in two blocks")
                 support.add(p)
         return cls(canon)
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(p for b in self.blocks for p in b)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
     def __str__(self) -> str:
         return "|".join(",".join(map(str, b)) for b in self.blocks)

@@ -416,10 +416,6 @@ class BlockSystem:
 
     blocks: SetPartition
 
-    @property
-    def num_blocks(self) -> int:
-        return self.blocks.num_blocks
-
 
 def _congruence_closure(G: PermGroup, beta: int) -> list[set[int]]:
     # Finest G-congruence identifying 1 and beta (Atkinson's algorithm).

@@ -56,26 +56,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        grp = data.get("group") or {}
-        return cls(
-            command=data["command"],
-            group_name=grp.get("name"),
-            degree=grp.get("degree"),
-            order=grp.get("order"),
-            verdicts=dict(data.get("verdicts") or {}),
-            witnesses=dict(data.get("witnesses") or {}),
-            methods=dict(data.get("methods") or {}),
-            tables={k: list(v) for k, v in (data.get("tables") or {}).items()},
-            elapsed_s=data.get("elapsed_s", 0.0),
-            error=data.get("error"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
     def render_text(self) -> str:
         lines = [f"command: {self.command}"]
         if self.group_name is not None:

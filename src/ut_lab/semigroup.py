@@ -83,10 +83,6 @@ class Transformation:
         return cls(p.images)
 
     @classmethod
-    def constant(cls, n: int, value: int) -> "Transformation":
-        return cls((value,) * n)
-
-    @classmethod
     def parse(cls, text: str) -> "Transformation":
         """Parse the comma-separated image list format, e.g. "1,4,5,2,2"."""
         return cls(tuple(int(x) for x in text.split(",")))

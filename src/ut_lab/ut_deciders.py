@@ -14,10 +14,11 @@ The exact step is `seeded_sweep`, the one driver of seeded sweeps: one
 family, the representative placed in singleton blocks and the other points
 most constrained first for that family (`partitions.placement_order`).
 The families are every orbit here and in the direct rank-k question, and
-one orbit with the other orbits' representatives for weak k-ut.  The
-extension decider runs the same search for one orbit and one seed.  The
-naive decider runs it unseeded over every orbit at once, in ascending
-order, so its witness is the first partition in restricted-growth order.
+one orbit at a time for weak k-ut; `has_kut(method="extend")` is the exact
+step without the chain before it.  `subpartition_extension_decider` runs
+the same search for one orbit and one seed.  The naive decider runs it
+unseeded over every orbit at once, in ascending order, so its witness is
+the first partition in restricted-growth order.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -489,7 +490,7 @@ def seeded_sweep(
     map it to its orbit representative).  So the representatives of every
     orbit cover every partition; an orbit's own representative seed is
     sectioned by that orbit, so a search for one orbit needs only the
-    others' representatives.
+    others' representatives, and the skip above drops its own.
     """
     for rep in reps:
         seed, own = _singletons(rep), mask_of(rep)
@@ -511,8 +512,8 @@ def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
 
     method="auto" runs the dispatcher chain of this module's docstring,
     the same chain for every k; "naive" runs the unseeded search alone, and
-    "extend" one `subpartition_extension_decider` search per orbit and
-    seed, the seeds being the other orbits' representatives.  Whichever
+    "extend" the chain's exact step alone, so wherever the chain reaches
+    that step the two give the same verdict, witness and detail.  Whichever
     runs, an exhausted budget, k-set orbits (`set_orbits.DEFAULT_ORBIT_CAP`)
     or search nodes (`partitions.FRONTIER_CAP`), gives
     "undecided:budget-exhausted".
@@ -526,7 +527,7 @@ def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
         if method == "naive":
             return has_kut_naive(G, k)
         if method == "extend":
-            return _decide_by_extension(G, k)
+            return _exact_step(G, k)
         return _decide_auto(G, k)
     except CapExceeded as err:
         return UtVerdict(
@@ -556,10 +557,15 @@ def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
         if pruned is not None:
             return pruned
 
-    # exact decision
+    return _exact_step(G, k)
+
+
+def _exact_step(G: PermGroup, k: int) -> UtVerdict:
+    """The chain's exact decision: `seeded_sweep` over every orbit, each
+    representative a seed."""
     orbits = orbits_on_ksets(G, k)
     failure = seeded_sweep(
-        [o.masks for o in orbits], [o.representative for o in orbits], n, k
+        [o.masks for o in orbits], [o.representative for o in orbits], G.degree, k
     )
     if failure is None:
         return UtVerdict(True, "extension")
@@ -567,23 +573,6 @@ def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
     return _checked_failure(
         G, orbits[i].representative, partition, "extension", {"seed": seed}
     )
-
-
-def _decide_by_extension(G: PermGroup, k: int) -> UtVerdict:
-    orbits = orbits_on_ksets(G, k)
-    all_profiles = {}
-    for orbit in orbits:
-        profiles = all_profiles[str(orbit.representative)] = {}
-        for other in orbits:
-            if other is orbit:
-                continue
-            rep = other.representative
-            verdict = subpartition_extension_decider(G, k, orbit, _singletons(rep))
-            if verdict.holds is False:
-                verdict.detail["seed"] = rep
-                return verdict
-            profiles[str(rep)] = verdict.detail["frontier_profile"]
-    return UtVerdict(True, "extension", detail={"frontier_profiles": all_profiles})
 
 
 def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
@@ -599,9 +588,9 @@ def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     try:
         orbits = orbits_on_ksets(G, k)
+        reps = [o.representative for o in orbits]
         for orbit in orbits:
-            others = [o.representative for o in orbits if o is not orbit]
-            if seeded_sweep([orbit.masks], others, n, k) is None:
+            if seeded_sweep([orbit.masks], reps, n, k) is None:
                 return True, orbit.representative
     except CapExceeded:
         return None, None

@@ -11,6 +11,24 @@ def run(capsys, *argv):
     return code, out
 
 
+def report_from_json(text: str) -> Report:
+    """Parse a `--json` report back, field by field; a missing key fails."""
+    data = json.loads(text)
+    group = data["group"]
+    return Report(
+        command=data["command"],
+        group_name=group["name"],
+        degree=group["degree"],
+        order=group["order"],
+        verdicts=data["verdicts"],
+        witnesses=data["witnesses"],
+        methods=data["methods"],
+        tables=data["tables"],
+        elapsed_s=data["elapsed_s"],
+        error=data["error"],
+    )
+
+
 class TestExitCodes:
     def test_holds_is_zero(self, capsys):
         code, _ = run(capsys, "ut", "--group", "catalog:S4@4", "--k", "2")
@@ -32,7 +50,7 @@ class TestJson:
             capsys, "--json", "ut", "--group", "catalog:M11@12", "--k", "4"
         )
         assert code == 0
-        report = Report.from_json(out)
+        report = report_from_json(out)
         assert report.group_name == "M11"
         assert report.degree == 12
         assert report.verdicts == {"4-ut": True}
@@ -43,7 +61,7 @@ class TestJson:
             capsys, "--json", "homog", "--group", "catalog:ASL(2,3)@9", "--i", "3", "--j", "4"
         )
         assert code == 1
-        report = Report.from_json(out)
+        report = report_from_json(out)
         (witness,) = report.witnesses.values()
         assert "{1,2,3}" in witness.replace(" ", "")
 
@@ -84,7 +102,7 @@ class TestCommands:
     def test_agl_sieve(self, capsys):
         code, out = run(capsys, "--json", "agl", "--sieve-limit", "50")
         assert code == 0
-        report = Report.from_json(out)
+        report = report_from_json(out)
         (rows,) = report.tables.values()
         assert any(row.startswith("11\t") for row in rows)
         assert any(row.startswith("23\t") for row in rows)
@@ -97,7 +115,6 @@ class TestCommands:
         )
         assert code == 0
         assert "[extension]" in out
-        assert "frontier_profile" in out
 
     def test_ut_witness_flag(self, capsys):
         code, out = run(

@@ -94,7 +94,7 @@ class TestSetPartition:
     def test_subpartition(self):
         sp = SubPartition.of([(4, 2), (7,)])
         assert sp.blocks == ((2, 4), (7,))
-        assert sp.support == {2, 4, 7}
+        assert {p for b in sp.blocks for p in b} == {2, 4, 7}
         with pytest.raises(ValueError):
             SubPartition.of([(1,), (1, 2)])
 

@@ -50,14 +50,14 @@ class TestTransformation:
         assert t_compose(a, e) == a == t_compose(e, a)
 
     def test_constant_absorbs(self):
-        c = Transformation.constant(4, 1)
+        c = Transformation((1,) * 4)
         a = Transformation.parse("2,2,3,1")
         assert t_compose(c, a).rank == 1
         assert t_compose(a, c) == c
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
-            t_compose(Transformation.constant(3, 1), Transformation.constant(4, 1))
+            t_compose(Transformation((1,) * 3), Transformation((1,) * 4))
 
     @given(transformations6, transformations6)
     def test_rank_bound(self, a, b):
@@ -77,7 +77,7 @@ class TestIsRegularIn:
 
     def test_rank_one_always_regular(self):
         G = build_named("C6")
-        assert is_regular_in(Transformation.constant(6, 3), G).regular
+        assert is_regular_in(Transformation((3,) * 6), G).regular
 
     def test_c6_parity_map(self):
         G = build_named("C6")
@@ -211,7 +211,7 @@ class TestClosure:
         assert semigroup_closure([e]) == frozenset({e})
 
     def test_constant(self):
-        c = Transformation.constant(4, 1)
+        c = Transformation((1,) * 4)
         assert semigroup_closure([c]) == frozenset({c})
 
     def test_s3_plus_rank2_is_t3(self):

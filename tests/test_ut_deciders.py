@@ -254,12 +254,21 @@ class TestExtensionDecider:
     def test_cap_bounds_one_level_of_the_depth_first_search(self, monkeypatch):
         # A breadth-first search holds 224 subpartitions at one level here
         # and overran this cap; the depth-first one meets a witness first.
+        # The profile is the failing search's, re-run for the witness's
+        # orbit and the verdict's seed.
         G = build_named("PSL(2,19)", 20)
         monkeypatch.setattr(partitions, "FRONTIER_CAP", 200)
         verdict = has_kut(G, 4, method="extend")
         assert verdict.holds is False
         assert validate_ut_witness(G, verdict.witness)
-        assert max(verdict.detail["frontier_profile"]) <= 200
+        orbit = next(
+            o for o in orbits_on_ksets(G, 4)
+            if o.representative == verdict.witness.orbit_rep
+        )
+        seed = SubPartition.of([(p,) for p in verdict.detail["seed"]])
+        search = subpartition_extension_decider(G, 4, orbit, seed)
+        assert search.witness == verdict.witness
+        assert max(search.detail["frontier_profile"]) <= 200
 
     def test_cap_raises_with_profile(self, monkeypatch):
         # This search meets one node at each of its first seven levels
@@ -438,6 +447,28 @@ class TestHasKut:
                     assert verdict.holds or validate_ut_witness(G, verdict.witness)
                 fails += False in holds
         assert fails > 50
+
+    def test_extend_is_the_exact_step(self):
+        # Every catalog cell of degree <= 12 that the chain leaves to its
+        # exact step: "extend" runs that step alone, so it returns the same
+        # verdict, field by field.  Its detail is at most the seed, so a
+        # verdict kept by a caller holds no per-search data.
+        cells = 0
+        for G in catalog_groups(12):
+            n = G.degree
+            for k in range(2, (n + 1) // 2 + 1):
+                extend = has_kut(G, k, method="extend")
+                assert set(extend.detail) <= {"seed"}, (G.name, n, k)
+                auto = has_kut(G, k)
+                if auto.method != "extension":
+                    continue
+                cells += 1
+                key = (G.name, n, k)
+                assert extend.holds is auto.holds, key
+                assert extend.method == auto.method, key
+                assert extend.witness == auto.witness, key
+                assert extend.detail == auto.detail, key
+        assert cells > 10
 
     def test_monotonicity_smoke(self):
         for name, degree in (("PSL(2,8)", 9), ("M11", 12), ("PGL(2,9)", 10)):
