@@ -32,6 +32,8 @@ from .set_orbits import (
     KSet,
     _orbit_masks,
     mask_of,
+    # Not called here since `seeded_sweep` reads the orbits itself, but
+    # perfbench/spans.py wraps semigroup.orbits_on_ksets, so the name stays.
     orbits_on_ksets,
     trace_orbit_word,
 )
@@ -284,9 +286,9 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
     properties coincide); method="direct" skips its shortcuts and asks
     whether every k-set orbit (which covers every image, by G-equivariance)
     has a section of every k-partition (every kernel), by the decider's
-    exact step, `ut_deciders.seeded_sweep`: one search per orbit and seed
-    representative, placing the points most constrained first for that
-    orbit.  Either way an exhausted budget raises CapExceeded.
+    exact step, `ut_deciders.seeded_sweep(G, k)`: one search per orbit and
+    seed representative, placing the points most constrained first for
+    that orbit.  Either way an exhausted budget raises CapExceeded.
     """
     from .ut_deciders import has_kut, seeded_sweep
 
@@ -302,7 +304,4 @@ def regular_for_all_rank_k(G: PermGroup, k: int, method: str = "kut") -> bool:
         return bool(verdict.holds)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    orbits = orbits_on_ksets(G, k)
-    return seeded_sweep(
-        [o.masks for o in orbits], [o.representative for o in orbits], n, k
-    ) is None
+    return seeded_sweep(G, k) is None

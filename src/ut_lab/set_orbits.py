@@ -91,8 +91,11 @@ class KSetOrbit:
     """One orbit of k-sets: lex-least representative, size, and member masks."""
 
     representative: KSet
-    size: int
     masks: frozenset[int]
+
+    @property
+    def size(self) -> int:
+        return len(self.masks)
 
     @property
     def k(self) -> int:
@@ -211,7 +214,7 @@ def orbit_of_set(G: PermGroup, S: Iterable[int]) -> KSetOrbit:
     """
     pts = as_kset(S, G.degree)
     masks = frozenset(_orbit_masks(G, mask_of(pts), DEFAULT_ORBIT_CAP))
-    return KSetOrbit(kset_of_mask(_lex_least(masks)), len(masks), masks)
+    return KSetOrbit(kset_of_mask(_lex_least(masks)), masks)
 
 
 def trace_orbit_word(
@@ -281,7 +284,7 @@ class _Enumeration:
                 masks = frozenset(_orbit_masks(G, m, DEFAULT_ORBIT_CAP - len(self.seen)))
                 self.pending = None
                 self.seen |= masks
-                self.orbits.append(KSetOrbit(kset_of_mask(m), len(masks), masks))
+                self.orbits.append(KSetOrbit(kset_of_mask(m), masks))
                 self.remaining -= len(masks)
         return self.orbits[i] if i < len(self.orbits) else None
 

@@ -9,13 +9,15 @@ step.  Above the midpoint, k > (n+1)/2, k-ut is k-homogeneity: a group
 that is not k-homogeneous there fails (k-1,k)-homogeneity, so the chain
 ends before the exact step.
 
-The exact step is `seeded_sweep`, the one driver of seeded sweeps: one
-`partitions.first_unsectioned` search per k-set orbit representative and
-family, the representative placed in singleton blocks and the other points
-most constrained first for that family (`partitions.placement_order`).
-The families are every orbit here and in the direct rank-k question, and
-one orbit at a time for weak k-ut; `has_kut(method="extend")` is the exact
-step without the chain before it.  `subpartition_extension_decider` runs
+The exact step is `seeded_sweep(G, k)`, the one driver of seeded sweeps:
+one `partitions.first_unsectioned` search per k-set orbit representative
+of G and family, the representative placed in singleton blocks and the
+other points most constrained first for that family
+(`partitions.placement_order`).  The seeds depend on G and k alone; a
+caller chooses only the families: every orbit here and in the direct
+rank-k question, and one orbit at a time for weak k-ut and the
+Higman-Sims step of C12.  `has_kut(method="extend")` is the exact step
+without the chain before it.  `subpartition_extension_decider` runs
 the same search for one orbit and one seed.  The naive decider runs it
 unseeded over every orbit at once, in ascending order, so its witness is
 the first partition in restricted-growth order.
@@ -182,10 +184,8 @@ def _bfs_distances(adj: dict[int, list[int]], sources) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class AuxGraph:
-    """Graph on {1..n} minus base: pairs completing the base into a fixed orbit."""
+    """Graph on {1..n} minus a base: pairs completing the base into a fixed orbit."""
 
-    base: KSet
-    apex: int
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
 
@@ -222,10 +222,10 @@ def aux_graph(G: PermGroup, B, c: int) -> AuxGraph:
     if not is_k_homogeneous(G, t):
         raise ValueError("the group must be t-homogeneous for a base of size t-1")
     orbit = orbit_of_set(G, tuple(range(1, t + 1)) + (c,))
-    return _graph_from_orbit(orbit, base, c, G.degree)
+    return _graph_from_orbit(orbit, base, G.degree)
 
 
-def _graph_from_orbit(orbit: KSetOrbit, base: KSet, apex: int, n: int) -> AuxGraph:
+def _graph_from_orbit(orbit: KSetOrbit, base: KSet, n: int) -> AuxGraph:
     bmask = mask_of(base)
     base_set = set(base)
     vertices = tuple(v for v in range(1, n + 1) if v not in base_set)
@@ -234,7 +234,7 @@ def _graph_from_orbit(orbit: KSetOrbit, base: KSet, apex: int, n: int) -> AuxGra
         if m & bmask == bmask:
             x, y = kset_of_mask(m & ~bmask)
             edges.add((x, y))
-    return AuxGraph(base, apex, vertices, frozenset(edges))
+    return AuxGraph(vertices, frozenset(edges))
 
 
 class _PairIndex:
@@ -252,14 +252,14 @@ class _PairIndex:
             self.pairs[b].append((a, c))
             self.pairs[c].append((a, b))
 
-    def gamma(self, C: set[int], apex: int) -> AuxGraph:
+    def gamma(self, C: set[int]) -> AuxGraph:
         """The graph on the points outside C whose edges {x, y} complete
         some b in C into the orbit."""
         vertices = tuple(v for v in self.pairs if v not in C)
         edges = frozenset(
             pair for b in C for pair in self.pairs[b] if C.isdisjoint(pair)
         )
-        return AuxGraph(tuple(sorted(C)), apex, vertices, edges)
+        return AuxGraph(vertices, edges)
 
 
 def connectivity_prune(G: PermGroup, k: int) -> UtVerdict | None:
@@ -281,7 +281,7 @@ def connectivity_prune(G: PermGroup, k: int) -> UtVerdict | None:
     for orbit in orbits_on_ksets(G, k):
         member_mask = min(m for m in orbit.masks if m & tmask == tmask)
         apex = kset_of_mask(member_mask & ~tmask)[0]
-        graph = _graph_from_orbit(orbit, base, apex, n)
+        graph = _graph_from_orbit(orbit, base, n)
         comps = graph.components()
         if len(comps) > 1:
             D = comps[0]
@@ -315,16 +315,14 @@ class SeedReport:
     note: str = ""
 
 
-def _sides_connected(
-    index: _PairIndex, apex: int, C: set[int], A: set[int], Ap: set[int]
-) -> bool:
+def _sides_connected(index: _PairIndex, C: set[int], A: set[int], Ap: set[int]) -> bool:
     """Are A and A' joined, outside C, by middle-block edges?
 
     An edge {x, y} exists when {x, b, y} lies in the orbit for some b in C.
     """
     if A & Ap:
         return True
-    adj = index.gamma(C, apex).adjacency()
+    adj = index.gamma(C).adjacency()
     return not _bfs_distances(adj, A - C).keys().isdisjoint(Ap)
 
 
@@ -347,7 +345,7 @@ def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
     orbit = orbit_of_set(G, (1, 2, c))
     index = _PairIndex(orbit, n)
     # the base graph on {1..n-1}: pairs completing {n} into the orbit
-    adj = index.gamma({n}, c).adjacency()
+    adj = index.gamma({n}).adjacency()
     dist1 = _bfs_distances(adj, [1])
     if len(dist1) < n - 1:
         raise ValueError("the base graph G(n, c) must be connected")
@@ -355,12 +353,12 @@ def bad_partition_search_3ut(G: PermGroup, c: int, d: int) -> list[SeedReport]:
     reports = []
     for y in sorted(v for v, dv in dist1.items() if dv == d and v != 1):
         reports.append(
-            _grow_candidate(G, orbit, index, c, adj, dist1, y, d, n)
+            _grow_candidate(G, orbit, index, adj, dist1, y, d, n)
         )
     return reports
 
 
-def _grow_candidate(G, orbit, index, c, adj, dist1, y, d, n) -> SeedReport:
+def _grow_candidate(G, orbit, index, adj, dist1, y, d, n) -> SeedReport:
     A = {1}
     Ap = {y}
     C = {n}
@@ -397,12 +395,12 @@ def _grow_candidate(G, orbit, index, c, adj, dist1, y, d, n) -> SeedReport:
                 changed = True
         # (3) the sides landing in one component of the current graph ends
         # the growth: the candidate triple cannot stay section-free
-        if _sides_connected(index, c, C, A, Ap):
+        if _sides_connected(index, C, A, Ap):
             return SeedReport(y, d, "connected", rounds)
         # (4) a point whose move into C would join the sides must stay out of C
         unclassified = set(range(1, n + 1)) - C - A - Ap - pool
         for x in sorted(unclassified):
-            if _sides_connected(index, c, C | {x}, A, Ap):
+            if _sides_connected(index, C | {x}, A, Ap):
                 pool.add(x)
                 changed = True
         committed = A | Ap | pool
@@ -470,20 +468,17 @@ def subpartition_extension_decider(
     return UtVerdict(True, "extension", detail={"frontier_profile": profile})
 
 
-def _singletons(rep: KSet) -> SubPartition:
-    # A representative is sorted, so its singletons are already canonical.
-    return SubPartition(tuple((p,) for p in rep))
-
-
 def seeded_sweep(
-    families: list[frozenset[int]], reps: list[KSet], n: int, k: int
-) -> tuple[KSet, SetPartition, int] | None:
-    """(seed representative, partition, family index) for a k-partition
-    some family misses, unchecked, or None.  For each representative,
-    placed in singleton blocks, one `first_unsectioned` search per family,
-    so that each search places the other points most constrained first for
-    its family.  A family that holds the representative sections the seed
-    at the root and is skipped.
+    G: PermGroup, k: int, families: tuple[KSetOrbit, ...] | None = None
+) -> tuple[KSet, SetPartition, KSetOrbit] | None:
+    """(seed representative, partition, orbit) for a k-partition that some
+    orbit of `families` (default: every k-set orbit of G) misses,
+    unchecked, or None.  Each k-set orbit representative of G, placed in
+    singleton blocks, seeds one `first_unsectioned` search per family, so
+    that each search places the other points most constrained first for
+    its family; representatives come first, families in the order given.
+    A family that holds the representative sections the seed at the root
+    and is skipped.
 
     Every k-partition is equivalent under G to one whose blocks separate
     some k-set orbit representative (pick a section of the partition and
@@ -492,14 +487,16 @@ def seeded_sweep(
     sectioned by that orbit, so a search for one orbit needs only the
     others' representatives, and the skip above drops its own.
     """
-    for rep in reps:
-        seed, own = _singletons(rep), mask_of(rep)
-        for i, family in enumerate(families):
-            if own in family:
+    orbits = orbits_on_ksets(G, k)
+    for rep in (o.representative for o in orbits):
+        # A representative is sorted, so its singletons are already canonical.
+        seed, own = SubPartition(tuple((p,) for p in rep)), mask_of(rep)
+        for family in orbits if families is None else families:
+            if own in family.masks:
                 continue
-            partition, _, _ = first_unsectioned(n, k, [family], seed)
+            partition, _, _ = first_unsectioned(G.degree, k, [family.masks], seed)
             if partition is not None:
-                return rep, partition, i
+                return rep, partition, family
     return None
 
 
@@ -561,24 +558,21 @@ def _decide_auto(G: PermGroup, k: int) -> UtVerdict:
 
 
 def _exact_step(G: PermGroup, k: int) -> UtVerdict:
-    """The chain's exact decision: `seeded_sweep` over every orbit, each
-    representative a seed."""
-    orbits = orbits_on_ksets(G, k)
-    failure = seeded_sweep(
-        [o.masks for o in orbits], [o.representative for o in orbits], G.degree, k
-    )
+    """The chain's exact decision: `seeded_sweep` over every orbit."""
+    failure = seeded_sweep(G, k)
     if failure is None:
         return UtVerdict(True, "extension")
-    seed, partition, i = failure
+    seed, partition, orbit = failure
     return _checked_failure(
-        G, orbits[i].representative, partition, "extension", {"seed": seed}
+        G, orbit.representative, partition, "extension", {"seed": seed}
     )
 
 
 def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
     """Does some single k-set orbit section every k-partition?
 
-    Returns (True, lex-least universal representative), (False, None), or
+    Each orbit in turn is the one family of a `seeded_sweep`.  Returns
+    (True, lex-least universal representative), (False, None), or
     (None, None) when a budget ran out, k-set orbits or search nodes, before
     the least universal orbit was found.  No witness is returned, so the
     partitions an orbit misses are dropped unchecked.
@@ -587,10 +581,8 @@ def has_weak_kut(G: PermGroup, k: int) -> tuple[bool | None, KSet | None]:
     if not 2 <= k < n:
         raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     try:
-        orbits = orbits_on_ksets(G, k)
-        reps = [o.representative for o in orbits]
-        for orbit in orbits:
-            if seeded_sweep([orbit.masks], reps, n, k) is None:
+        for orbit in orbits_on_ksets(G, k):
+            if seeded_sweep(G, k, (orbit,)) is None:
                 return True, orbit.representative
     except CapExceeded:
         return None, None

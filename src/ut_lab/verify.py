@@ -370,7 +370,6 @@ def criterion_12() -> tuple[bool | None, str]:
         notes.append("Higman-Sims: undecided (stored data not bundled)")
         return None, "; ".join(notes)
     orbits = orbits_on_ksets(HS, 3)
-    reps = [o.representative for o in orbits]
     sizes = sorted(o.size for o in orbits)
     if sizes != [61600, 369600, 462000]:
         return False, f"HS 3-set orbit sizes {sizes}"
@@ -384,7 +383,7 @@ def criterion_12() -> tuple[bool | None, str]:
                 return False, f"HS: certified orbit has lambda {report.lam}"
             certified += 1
             continue
-        if seeded_sweep([orbit.masks], reps, HS.degree, 3) is not None:
+        if seeded_sweep(HS, 3, (orbit,)) is not None:
             return False, f"HS orbit {orbit.representative}: fails"
     if certified != 1:
         return False, f"HS: {certified} two-graph orbits (expected exactly 1)"

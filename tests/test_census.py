@@ -7,7 +7,9 @@ name, an attribute or an import, appears in `src/`, `tools/` or
 A definition's own body does not count as its caller.  A name that only
 the tests reach is either a checker, which belongs in `tests/_oracles.py`,
 or code the library does not run.  The census reads the source with `ast`,
-so a docstring word that happens to match a name is not a caller.
+so a docstring word that happens to match a name is not a caller.  A
+checkout may come without `perfbench/`; a name whose only callers are there
+is then accepted, and only then.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "ut_lab"
-CALLER_DIRS = (ROOT / "src", ROOT / "tools", ROOT / "perfbench")
-SPANS = ROOT / "perfbench" / "spans.py"
+PERFBENCH = ROOT / "perfbench"
+CALLER_DIRS = (ROOT / "src", ROOT / "tools", PERFBENCH)
+SPANS = PERFBENCH / "spans.py"
 
 # Names kept without a caller in the library, tools or benchmark.
 KEPT = {
@@ -28,6 +31,13 @@ KEPT = {
         "perfbench/spans.py wraps it by name, as a string; the public decider "
         "for one orbit and one seed, which the tests call"
     ),
+}
+
+# Names whose only callers outside tests/ are in perfbench/, each with a
+# file there that calls it.
+PERFBENCH_CALLERS = {
+    "transformation_from_parts": "perfbench/workloads.py",
+    "has_weak_kut": "perfbench/workloads.py",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -66,14 +76,23 @@ def _definitions() -> dict[str, tuple[str, bool]]:
     return out
 
 
-def _census() -> dict[str, str]:
-    """Library name -> its defining module, for names no one calls."""
+def _references(paths) -> tuple[set[str], set[str]]:
+    """The names and the attributes that the files read."""
     names: set[str] = set()
     attributes: set[str] = set()
-    for directory in CALLER_DIRS:
-        for path in sorted(directory.rglob("*.py")):
-            for name, is_attribute in _reads(ast.parse(path.read_text(), filename=str(path))):
-                (attributes if is_attribute else names).add(name)
+    for path in paths:
+        for name, is_attribute in _reads(ast.parse(path.read_text(), filename=str(path))):
+            (attributes if is_attribute else names).add(name)
+    return names, attributes
+
+
+def _census(directories=CALLER_DIRS) -> dict[str, str]:
+    """Library name -> its defining module, for names that no file under
+    the directories calls."""
+    names, attributes = _references(
+        path for directory in directories if directory.is_dir()
+        for path in sorted(directory.rglob("*.py"))
+    )
     return {
         qualname: module
         for qualname, (module, is_method) in _definitions().items()
@@ -96,12 +115,23 @@ def _spans_wrapped_attributes() -> set[str]:
 
 
 def test_every_library_name_has_a_caller():
-    orphans = {name: where for name, where in _census().items() if name not in KEPT}
+    accepted = set(KEPT) if PERFBENCH.is_dir() else set(KEPT) | set(PERFBENCH_CALLERS)
+    orphans = {name: where for name, where in _census().items() if name not in accepted}
     assert not orphans, f"library names with no caller outside tests/: {orphans}"
 
 
 def test_kept_names_still_exist():
-    assert set(KEPT) <= set(_definitions())
+    assert set(KEPT) | set(PERFBENCH_CALLERS) <= set(_definitions())
+
+
+def test_perfbench_callers_are_only_there():
+    if not PERFBENCH.is_dir():
+        pytest.skip("perfbench/ is not part of this checkout")
+    for name, caller in PERFBENCH_CALLERS.items():
+        names, attributes = _references([ROOT / caller])
+        assert name in names | attributes, f"{caller} no longer calls {name}"
+    callers_outside = set(PERFBENCH_CALLERS) - set(_census((ROOT / "src", ROOT / "tools")))
+    assert not callers_outside, f"called from src/ or tools/: {callers_outside}"
 
 
 def test_kept_for_spans_are_wrapped_there():

@@ -22,6 +22,7 @@ from ut_lab.ut_deciders import (
     has_kut,
     has_kut_naive,
     has_weak_kut,
+    seeded_sweep,
     UtWitness,
     subpartition_extension_decider,
     two_graph_check,
@@ -106,7 +107,7 @@ class TestWitnessCheckIndependence:
             # orbits that section every partition, then orbits that section
             # none, in the cache and in a stopped enumeration; then in the
             # enumeration alone, as a decider would read it with no cache
-            orbit = KSetOrbit((1, 2, 3), len(masks), masks)
+            orbit = KSetOrbit((1, 2, 3), masks)
             run = set_orbits._Enumeration(13, 3)
             run.orbits.append(orbit)
             run.seen |= masks
@@ -149,7 +150,7 @@ class TestAuxGraph:
 def gamma_graph(G, C, c):
     """The union over b in C of the pair-graphs G(b, c), restricted outside
     C, read off the pair index that the growth diagnostic uses."""
-    return _PairIndex(orbit_of_set(G, (1, 2, c)), G.degree).gamma(set(C), c)
+    return _PairIndex(orbit_of_set(G, (1, 2, c)), G.degree).gamma(set(C))
 
 
 class TestGammaGraph:
@@ -359,6 +360,44 @@ class TestExtensionOracle:
                         assert verdict.witness.partition == SetPartition.of(first), key
                     seen[verdict.holds] += 1
         assert seen[True] > 500 and seen[False] > 5000
+
+
+class TestSeededSweep:
+    def test_all_orbits_against_naive(self):
+        # Every catalog cell of degree <= 10: the sweep over every orbit
+        # finds a partition exactly when the unseeded search does, and a
+        # failure names a seed its partition separates and another orbit
+        # that misses the partition.
+        seen = Counter()
+        for G in catalog_groups(10):
+            n = G.degree
+            for k in range(2, (n + 1) // 2 + 1):
+                failure = seeded_sweep(G, k)
+                key = (G.name, n, k)
+                assert (failure is None) is has_kut_naive(G, k).holds, key
+                seen[failure is None] += 1
+                if failure is None:
+                    continue
+                rep, partition, orbit = failure
+                assert all(len(set(rep) & set(b)) == 1 for b in partition.blocks), key
+                assert mask_of(rep) not in orbit.masks, key
+                assert validate_ut_witness(G, UtWitness(orbit.representative, partition)), key
+        assert seen[True] > 90 and seen[False] > 50
+
+    def test_one_orbit_against_brute_force(self):
+        # Every k-set orbit of every catalog cell of degree <= 8: the sweep
+        # over that orbit alone finds nothing exactly when the orbit
+        # sections every k-partition.
+        seen = Counter()
+        for G in catalog_groups(8):
+            n = G.degree
+            for k in range(2, (n + 1) // 2 + 1):
+                for orbit in orbits_on_ksets(G, k):
+                    universal = brute_orbit_universal(G.gen_images(), orbit.representative, n, k)
+                    key = (G.name, n, k, orbit.representative)
+                    assert (seeded_sweep(G, k, (orbit,)) is None) is universal, key
+                    seen[universal] += 1
+        assert seen[True] > 70 and seen[False] > 30
 
 
 class TestSectionProbe:
