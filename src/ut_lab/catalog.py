@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import MissingDataError
+from .errors import MissingDataError, UnknownGroup
 from .gf import GF, factor_prime_power, is_prime
 from .perm_core import Permutation, PermGroup
 
@@ -521,15 +521,20 @@ def _specs_by_name() -> dict[str, tuple[GroupSpec, ...]]:
 
 
 def find_spec(name: str, degree: int | None = None) -> GroupSpec:
-    """Look up a manifest entry by name, disambiguated by degree if needed."""
+    """Look up a manifest entry by name, disambiguated by degree if needed.
+
+    Raises UnknownGroup, a KeyError, when no entry or more than one matches.
+    """
     matches = list(_specs_by_name().get(name, ()))
     if degree is not None:
         matches = [s for s in matches if s.degree == degree]
     if not matches:
-        raise KeyError(f"no catalog group named {name!r}" + (f" at degree {degree}" if degree else ""))
+        raise UnknownGroup(
+            f"no catalog group named {name!r}" + (f" at degree {degree}" if degree else "")
+        )
     if len(matches) > 1:
         degrees = sorted(s.degree for s in matches)
-        raise KeyError(f"group {name!r} is ambiguous; specify degree from {degrees}")
+        raise UnknownGroup(f"group {name!r} is ambiguous; specify degree from {degrees}")
     return matches[0]
 
 

@@ -24,7 +24,10 @@ from .verify import run_suite
 
 def resolve_group(spec: str) -> PermGroup:
     if spec.startswith("file:"):
-        return load_group_file(spec[5:])
+        try:
+            return load_group_file(spec[5:])
+        except OSError as err:
+            raise UtLabError(f"cannot read group file: {err}") from err
     if spec.startswith("catalog:"):
         spec = spec[8:]
     name, _, degree = spec.partition("@")
@@ -177,10 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UtLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except ValueError as err:
+    except (UtLabError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNDECIDED
 

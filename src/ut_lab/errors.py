@@ -13,6 +13,14 @@ class NotTransitiveError(UtLabError, ValueError):
     """A transitive group was required."""
 
 
+class UnknownGroup(UtLabError, KeyError):
+    """A catalog lookup names no group, or several without a degree."""
+
+    def __str__(self) -> str:
+        # KeyError would quote the message.
+        return str(self.args[0])
+
+
 class CapExceeded(UtLabError, RuntimeError):
     """An enumeration outgrew its configured cap.
 

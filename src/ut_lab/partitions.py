@@ -6,10 +6,10 @@ forms are equal.  Enumeration follows restricted-growth-string order, so the
 stream itself is canonical and deterministic.  One rule, `_next_blocks`,
 gives the blocks each point may take, for the enumeration and for the
 partition search alike; one more, `placement_order`, gives the order in
-which a seeded search of one family places its points.  `section_test` is
-the one test of whether a k-set is a section of k disjoint blocks: the
-partition search scans a family with it, and the regularity test stops its
-orbit BFS with it.
+which a seeded search places its points.  `section_test` is the one test
+of whether a k-set is a section of k disjoint blocks: the partition search
+scans a family with it, and the regularity test stops its orbit BFS with
+it.
 """
 from __future__ import annotations
 
@@ -147,34 +147,32 @@ def enumerate_kpartitions(n: int, k: int) -> Iterator[SetPartition]:
 def first_unsectioned(
     n: int,
     k: int,
-    families: Sequence[Collection[int]],
+    family: Collection[int],
     seed: SubPartition | None = None,
-) -> tuple[SetPartition | None, int | None, list[int]]:
-    """The first k-partition of {1..n} that some family does not section.
+) -> tuple[SetPartition | None, list[int]]:
+    """The first k-partition of {1..n} that the family does not section.
 
-    A family is a collection of k-set masks (bit p-1 set iff point p is in
-    the set), such as one k-set orbit.  One recursion places the unplaced
-    points depth first, each taking the blocks `_next_blocks` allows.
-    Without a seed the points go in ascending order and the blocks open in
-    restricted-growth order, so leaves come in the order of
+    The family is a collection of k-set masks (bit p-1 set iff point p is
+    in the set), such as one k-set orbit.  One recursion places the
+    unplaced points depth first, each taking the blocks `_next_blocks`
+    allows.  Without a seed the points go in ascending order and the
+    blocks open in restricted-growth order, so leaves come in the order of
     `enumerate_kpartitions`.  A seed's k blocks are all open from the
     start, so only its completions are searched, each point trying blocks
-    0..k-1 in turn.  When exactly one family is live at the root (it
-    neither sections the seed nor holds all C(n, k) k-sets), the points go
-    in its `placement_order`, most constrained first, so that subtrees are
-    cut early however the group labels its points; with more live families
-    they go in ascending order.  A block that is still empty has no
-    section, so no family is probed until all k blocks are open; from then
-    on each family with no section yet is probed for one through the point
-    just placed, and a subtree in which every family has one is skipped.
-    A family holding all C(n, k) k-sets is never probed.
+    0..k-1 in turn, and the points go in the family's `placement_order`,
+    most constrained first, so that subtrees are cut early however the
+    group labels its points.  A block that is still empty has no section,
+    so the family is not probed until all k blocks are open; from then on
+    it is probed for one through the point just placed, and a subtree in
+    which it has one is skipped.  A family that holds all C(n, k) k-sets,
+    or that sections the seed, is never probed.
 
-    Returns the first leaf some family misses, the index of the first such
-    family, and the profile: the nodes met per level that some family has
-    no section of, the root's level first.  With no such leaf, it returns
-    None, None and the profile up to its first empty level.  More than
-    FRONTIER_CAP nodes at one level raises CapExceeded at once, with
-    `.partial` FRONTIER_CAP + 1 and `.profile` the profile so far.
+    Returns the first leaf the family misses and the profile: the nodes
+    met per level that the family has no section of, the root's level
+    first.  With no such leaf, it returns None and the profile up to its
+    first empty level.  More than FRONTIER_CAP nodes at one level raises
+    CapExceeded at once, with `.partial` FRONTIER_CAP + 1 and `.profile`
+    the profile so far.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -187,17 +185,10 @@ def first_unsectioned(
     # Each block as a list of one-bit masks, changed in place as points are
     # placed and taken back.
     bits = [[1 << (p - 1) for p in b] for b in blocks]
-    families = [frozenset(f) for f in families]
-    live = [
-        masks for masks in families
-        if len(masks) < math.comb(n, k) and not _has_section(masks, bits)
-    ]
-    # A search for one family skips building lists of families.
-    lone = len(live) == 1
-    if seed is not None and lone:
-        free = placement_order(n, live[0], seed)
-    else:
-        free = [p for p in range(1, n + 1) if p not in placed]
+    masks = frozenset(family)
+    if len(masks) >= math.comb(n, k) or _has_section(masks, bits):
+        return None, [0]
+    free = range(1, n + 1) if seed is None else placement_order(n, masks, seed)
     rest = [1 << (p - 1) for p in free]
     last = len(rest)
     profile = [0] * (last + 1)
@@ -208,14 +199,14 @@ def first_unsectioned(
         err.profile = profile[:depth + 1]  # type: ignore[attr-defined]
         return err
 
-    def search(depth: int, opened: int, live: list[frozenset[int]]) -> list[frozenset[int]] | None:
-        # No family in `live` has a section of the node.  Returns those
-        # that miss the first leaf below, which is left in `bits`, or None.
+    def search(depth: int, opened: int) -> bool:
+        # The family has no section of the node.  True when some leaf
+        # below has none either; the first such leaf is left in `bits`.
         profile[depth] += 1
         if profile[depth] > cap:
             raise overflow(depth)
         if depth == last:
-            return live
+            return True
         x = rest[depth]
         # With all k blocks open every block is allowed; a seeded search
         # stays there, so it skips building the range.
@@ -225,43 +216,35 @@ def first_unsectioned(
             allowed = _next_blocks(last - depth, opened, k)
             choices = zip(allowed, bits[allowed.start:allowed.stop])
         for v, block in choices:
-            if opened < k and v < k - 1:
-                # A block is still empty, so no family has a section.
-                left = live
-            else:
-                # The parent has no section, so the child has one iff some
-                # member through x meets every other block.
+            # While a block is empty the family has no section.  Once all
+            # are open, the parent has none, so the child has one iff some
+            # member through x meets every other block.
+            if opened == k or v == k - 1:
                 bits[v] = [x]
-                if lone:
-                    left = () if _has_section(live[0], bits) else live
-                else:
-                    left = [masks for masks in live if not _has_section(masks, bits)]
+                cut = _has_section(masks, bits)
                 bits[v] = block
-                if not left:
+                if cut:
                     continue
             block.append(x)
-            found = search(depth + 1, opened + (v == opened), left)
-            if found:
-                return found
+            if search(depth + 1, opened + (v == opened)):
+                return True
             block.pop()
-        return None
+        return False
 
-    found = search(0, 0 if seed is None else k, live) if live else None
-    if found is None:
-        return None, None, [count for count in profile if count] + [0]
-    partition = SetPartition.of([b.bit_length() for b in block] for block in bits)
-    return partition, next(i for i, f in enumerate(families) if f is found[0]), profile
+    if not search(0, 0 if seed is None else k):
+        return None, [count for count in profile if count] + [0]
+    return SetPartition.of([b.bit_length() for b in block] for block in bits), profile
 
 
 def placement_order(n: int, family: Collection[int], seed: SubPartition) -> list[int]:
     """The points of {1..n} outside the seed, most constrained first.
 
-    This is the order in which a seeded `first_unsectioned` search with one
-    live family places its points.  A point x ranks by the number of seed
-    blocks v for which the search's cut test fires at the root: some member
-    of the family through x, with x alone in block v, meets every other
-    block.  Most blocks first; ties go by label.  For a seed of singletons
-    each test is one lookup, the seed with its v-th point swapped for x.
+    This is the order in which a seeded `first_unsectioned` search places
+    its points.  A point x ranks by the number of seed blocks v for which
+    the search's cut test fires at the root: some member of the family
+    through x, with x alone in block v, meets every other block.  Most
+    blocks first; ties go by label.  For a seed of singletons each test is
+    one lookup, the seed with its v-th point swapped for x.
     """
     masks = frozenset(family)
     bits = [[1 << (p - 1) for p in b] for b in seed.blocks]

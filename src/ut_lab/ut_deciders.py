@@ -19,8 +19,9 @@ rank-k question, and one orbit at a time for weak k-ut and the
 Higman-Sims step of C12.  `has_kut(method="extend")` is the exact step
 without the chain before it.  `subpartition_extension_decider` runs
 the same search for one orbit and one seed.  The naive decider runs it
-unseeded over every orbit at once, in ascending order, so its witness is
-the first partition in restricted-growth order.
+unseeded, once per orbit in representative order, placing the points in
+ascending order, so its witness is the first orbit that misses some
+k-partition, with the first such partition in restricted-growth order.
 
 Every negative verdict carries a witness pair (orbit representative, bad
 partition) that is re-validated by exhaustive check before being returned;
@@ -128,19 +129,19 @@ def _checked_failure(G: PermGroup, rep: KSet, partition: SetPartition, method: s
 def has_kut_naive(G: PermGroup, k: int) -> UtVerdict:
     """Exact k-ut decision: does every orbit section every k-partition?
 
-    One unseeded `first_unsectioned` search over every k-partition and
-    every orbit at once; its first failure is the first partition in RGS
-    order that an orbit misses, with the first such orbit.  An exhausted
-    budget, k-set orbits or search nodes, raises CapExceeded.
+    One unseeded `first_unsectioned` search over every k-partition per
+    orbit, in representative order; a failure names the first orbit that
+    misses some k-partition, with the first such partition in RGS order.
+    An exhausted budget, k-set orbits or search nodes, raises CapExceeded.
     """
     n = G.degree
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    orbits = orbits_on_ksets(G, k)
-    partition, i, _ = first_unsectioned(n, k, [orbit.masks for orbit in orbits])
-    if partition is None:
-        return UtVerdict(True, "naive")
-    return _checked_failure(G, orbits[i].representative, partition, "naive")
+    for orbit in orbits_on_ksets(G, k):
+        partition, _ = first_unsectioned(n, k, orbit.masks)
+        if partition is not None:
+            return _checked_failure(G, orbit.representative, partition, "naive")
+    return UtVerdict(True, "naive")
 
 
 def _kut_k2_by_primitivity(G: PermGroup) -> UtVerdict:
@@ -449,7 +450,7 @@ def subpartition_extension_decider(
 ) -> UtVerdict:
     """Decide whether the orbit sections every partition refining the seed.
 
-    A seeded `first_unsectioned` search with the orbit as its one family,
+    A seeded `first_unsectioned` search with the orbit as its family,
     which places the points most constrained first.  Its first surviving
     full partition, a validated witness, is the first in lexicographic
     order of block choices in that order, the leaf a breadth-first search
@@ -459,7 +460,7 @@ def subpartition_extension_decider(
     """
     if orbit.k != k:
         raise ValueError("orbit must consist of k-sets")
-    partition, _, profile = first_unsectioned(G.degree, k, [orbit.masks], seed)
+    partition, profile = first_unsectioned(G.degree, k, orbit.masks, seed)
     if partition is not None:
         return _checked_failure(
             G, orbit.representative, partition, "extension",
@@ -494,7 +495,7 @@ def seeded_sweep(
         for family in orbits if families is None else families:
             if own in family.masks:
                 continue
-            partition, _, _ = first_unsectioned(G.degree, k, [family.masks], seed)
+            partition, _ = first_unsectioned(G.degree, k, family.masks, seed)
             if partition is not None:
                 return rep, partition, family
     return None
@@ -508,11 +509,12 @@ def has_kut(G: PermGroup, k: int, method: str = "auto") -> UtVerdict:
     """Decide the k-universal transversal property for 2 <= k < n.
 
     method="auto" runs the dispatcher chain of this module's docstring,
-    the same chain for every k; "naive" runs the unseeded search alone, and
-    "extend" the chain's exact step alone, so wherever the chain reaches
-    that step the two give the same verdict, witness and detail.  Whichever
-    runs, an exhausted budget, k-set orbits (`set_orbits.DEFAULT_ORBIT_CAP`)
-    or search nodes (`partitions.FRONTIER_CAP`), gives
+    the same chain for every k; "naive" runs the unseeded searches alone,
+    one per orbit, and "extend" the chain's exact step alone, so wherever
+    the chain reaches that step the two give the same verdict, witness and
+    detail.  Whichever runs, an exhausted budget, k-set orbits
+    (`set_orbits.DEFAULT_ORBIT_CAP`) or search nodes
+    (`partitions.FRONTIER_CAP`, counted per search), gives
     "undecided:budget-exhausted".
     """
     n = G.degree

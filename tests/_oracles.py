@@ -288,17 +288,17 @@ def brute_placement_order(n: int, family, seed_blocks) -> list[int]:
     return sorted(free, key=lambda x: (-fires(x), x))
 
 
-def search_order(n: int, families, seed_blocks) -> list[int]:
+def search_order(n: int, family, seed_blocks) -> list[int]:
     """The order in which the partition search places the points outside
     the seed blocks: most constrained first, by `brute_placement_order`, when
-    the blocks are all nonempty and exactly one family neither sections
-    them nor holds every k-set; ascending otherwise."""
+    the blocks are all nonempty and the family neither sections them nor
+    holds every k-set; ascending otherwise."""
     seed_blocks = tuple(tuple(b) for b in seed_blocks)
-    k = len(seed_blocks)
-    live = [f for f in families
-            if len(set(f)) < math.comb(n, k) and not _sectioned(set(f), seed_blocks)]
-    if all(seed_blocks) and len(live) == 1:
-        return brute_placement_order(n, live[0], seed_blocks)
+    family = set(family)
+    live = (len(family) < math.comb(n, len(seed_blocks))
+            and not _sectioned(family, seed_blocks))
+    if all(seed_blocks) and live:
+        return brute_placement_order(n, family, seed_blocks)
     return _free_points(n, seed_blocks, None)
 
 

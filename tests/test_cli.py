@@ -40,8 +40,13 @@ class TestExitCodes:
         assert "witness" in out
 
     def test_error_is_two(self, capsys):
-        code, _ = run(capsys, "agl", "--p", "4")
-        assert code == 2
+        # A bad argument, an unknown catalog group and a missing group file.
+        for argv in (("agl", "--p", "4"),
+                     ("ut", "--group", "catalog:NOSUCH", "--k", "3"),
+                     ("ut", "--group", "file:/missing.grp", "--k", "3")):
+            code = main(list(argv))
+            assert code == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
 
 
 class TestJson:

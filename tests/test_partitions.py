@@ -170,10 +170,20 @@ class TestSteinerBadPartition:
             assert not is_section(kset_of_mask(m), P)
 
 
-def search(n, k, families, seed=None):
-    """`first_unsectioned` without its profile, as the scan oracle answers."""
-    partition, i, _ = first_unsectioned(n, k, families, seed)
-    return None if partition is None else (partition, i)
+def search(n, k, family, seed=None):
+    """`first_unsectioned` without its profile, as the scan oracle answers
+    for the one family: (first partition missed, family index 0) or None."""
+    partition, _ = first_unsectioned(n, k, family, seed)
+    return None if partition is None else (partition, 0)
+
+
+def scan(n, k, family, seed=None):
+    """The scan oracle for the one family, a seed's completions in the
+    search's own placement order."""
+    if seed is None:
+        return scan_first_unsectioned(n, k, [family])
+    return scan_first_unsectioned(
+        n, k, [family], seed.blocks, search_order(n, family, seed.blocks))
 
 
 def random_seed(rng, n, k):
@@ -244,74 +254,73 @@ class TestFirstUnsectioned:
             n = G.degree
             for k in range(2, (n + 1) // 2 + 1):
                 orbits = orbits_on_ksets(G, k)
-                families = [orbit.masks for orbit in orbits]
-                got = search(n, k, families)
-                assert got == scan_first_unsectioned(n, k, families), (G.name, n, k)
-                # Each representative in singleton blocks, every orbit at
-                # once.
+                seeds = [SubPartition.of([(p,) for p in orbit.representative])
+                         for orbit in orbits]
                 for orbit in orbits:
-                    seed = SubPartition.of([(p,) for p in orbit.representative])
-                    got = search(n, k, families, seed)
-                    want = scan_first_unsectioned(
-                        n, k, families, seed.blocks, search_order(n, families, seed.blocks))
-                    assert got == want, (G.name, n, k, orbit.representative)
+                    family = orbit.masks
+                    key = (G.name, n, k, orbit.representative)
+                    assert search(n, k, family) == scan(n, k, family), key
+                    # Each representative in singleton blocks.
+                    for seed in seeds:
+                        assert search(n, k, family, seed) == scan(n, k, family, seed), (
+                            key, seed.blocks)
 
     def test_matches_breadth_first(self, catalog_small):
-        # All orbits of every 2 <= k < n, searched unseeded, as the naive
+        # Every orbit of every 2 <= k < n, searched unseeded, as the naive
         # decider does, and from each representative.  A holding search
         # meets the same nodes per level as the breadth-first one in the
         # same placement order (counted when it meets any).  A failing one
-        # stops at the breadth-first search's first leaf and family; that
-        # is checked to degree 8, as above it the frontiers take seconds.
+        # stops at the breadth-first search's first leaf; that is checked
+        # to degree 8, as above it the frontiers take seconds.
         holds = fails = 0
         for G in catalog_small:
             n = G.degree
             for k in range(2, n):
                 orbits = orbits_on_ksets(G, k)
-                families = [orbit.masks for orbit in orbits]
                 seeds = [None] + [SubPartition.of([(p,) for p in orbit.representative])
                                   for orbit in orbits]
-                for seed in seeds:
+                for orbit, seed in itertools.product(orbits, seeds):
+                    family = orbit.masks
                     blocks = ((),) * k if seed is None else seed.blocks
-                    partition, i, profile = first_unsectioned(n, k, families, seed)
-                    key = (G.name, n, k, blocks)
-                    free = search_order(n, families, blocks)
+                    partition, profile = first_unsectioned(n, k, family, seed)
+                    key = (G.name, n, k, orbit.representative, blocks)
+                    free = search_order(n, family, blocks)
                     if partition is None:
                         holds += profile != [0]
-                        assert bfs_extension(families, n, blocks, free) == (None, None, profile), key
+                        assert bfs_extension([family], n, blocks, free) == (None, None, profile), key
                     elif n <= 8:
                         fails += 1
-                        first, j, _ = bfs_extension(families, n, blocks, free)
-                        assert (partition, i) == (SetPartition.of(first), j), key
+                        first, j, _ = bfs_extension([family], n, blocks, free)
+                        assert (partition, 0) == (SetPartition.of(first), j), key
         assert holds > 70 and fails > 60
 
     def test_random_families(self):
         seen = set()
         for n, k, families, seed in random_cases():
-            got = search(n, k, families)
-            assert got == scan_first_unsectioned(n, k, families), (n, k, families)
-            seen.add(("unseeded", got is None))
-            got = search(n, k, families, seed)
-            want = scan_first_unsectioned(
-                n, k, families, seed.blocks, search_order(n, families, seed.blocks))
-            assert got == want, (n, k, families, seed)
-            seen.add(("seeded", got is None))
+            for family in families:
+                got = search(n, k, family)
+                assert got == scan(n, k, family), (n, k, family)
+                seen.add(("unseeded", got is None))
+                got = search(n, k, family, seed)
+                assert got == scan(n, k, family, seed), (n, k, family, seed)
+                seen.add(("seeded", got is None))
         assert seen == {(mode, none) for mode in ("unseeded", "seeded")
                         for none in (True, False)}
 
     def test_first_partition_and_family(self):
         # {1,2} sections every 2-partition except 1,2|3; the empty family
         # sections none.
-        assert search(3, 2, [frozenset({0b011})]) == (SetPartition.parse("1,2|3"), 0)
+        assert search(3, 2, frozenset({0b011})) == (SetPartition.parse("1,2|3"), 0)
         everything = frozenset({0b011, 0b101, 0b110})
-        assert search(3, 2, [everything]) is None
+        assert search(3, 2, everything) is None
         # A family of every 2-set is never probed: the search meets no node.
-        assert first_unsectioned(3, 2, [everything])[2] == [0]
-        assert search(3, 2, [everything, frozenset()]) == (
-            SetPartition.parse("1,2|3"), 1)
+        assert first_unsectioned(3, 2, everything)[1] == [0]
+        assert search(3, 2, frozenset()) == (SetPartition.parse("1,2|3"), 0)
         # Three copies of one 2-set are not all three 2-sets.
-        assert search(3, 2, [[0b011] * 3]) == (SetPartition.parse("1,2|3"), 0)
-        assert search(3, 2, []) is None
+        assert search(3, 2, [0b011] * 3) == (SetPartition.parse("1,2|3"), 0)
+        # A family that sections the seed is never probed either.
+        seed = SubPartition.of([(1,), (2,)])
+        assert first_unsectioned(3, 2, frozenset({0b011}), seed) == (None, [0])
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -57,31 +57,36 @@ class TestNaive:
             assert has_kut_naive(build_named("S6", 6), k).holds is True
 
     def test_frontier_cap(self, monkeypatch):
-        # The search meets two nodes at some level before any answer, and
-        # stops at the second.
+        # The first orbit's search meets two nodes at some level before any
+        # answer, and stops at the second.
         monkeypatch.setattr(partitions, "FRONTIER_CAP", 1)
         with pytest.raises(CapExceeded) as err:
             has_kut_naive(build_named("PSL(2,13)"), 3)
         assert err.value.partial == 2
 
-    # The smallest kut_sweep benchmark cells that reach has_kut's exact step.
+    # The smallest kut_sweep benchmark cells that reach has_kut's exact step,
+    # then cells whose first partition in RGS order is missed by a later
+    # orbit than the first one to miss any.
     @pytest.mark.parametrize("name,degree,k", [
         ("C5", 5, 3), ("D(2*5)", 5, 3), ("PSL(2,5)", 6, 3), ("AGL(1,7)", 7, 3),
         ("AGL(1,7)", 7, 4), ("PGL(2,7)", 8, 4), ("ASL(2,3)", 9, 5), ("AGL(2,3)", 9, 5),
         ("PSL(2,9)", 10, 3), ("S6", 10, 3), ("PSigmaL(2,9)", 10, 3), ("11:5", 11, 3),
-        ("AGL(1,11)", 11, 3),
+        ("AGL(1,11)", 11, 3), ("C6", 6, 2), ("C7", 7, 3),
     ])
     def test_matches_partition_scan(self, name, degree, k):
+        # The witness is the first orbit that misses some k-partition, with
+        # the first such partition in RGS order.
         G = build_named(name, degree)
-        orbits = orbits_on_ksets(G, k)
         verdict = has_kut_naive(G, k)
-        failure = scan_first_unsectioned(degree, k, [orbit.masks for orbit in orbits])
-        if failure is None:
-            assert verdict.holds is True and verdict.witness is None
+        for orbit in orbits_on_ksets(G, k):
+            failure = scan_first_unsectioned(degree, k, [orbit.masks])
+            if failure is not None:
+                partition, _ = failure
+                assert verdict.holds is False
+                assert verdict.witness == UtWitness(orbit.representative, partition)
+                break
         else:
-            partition, i = failure
-            assert verdict.holds is False
-            assert verdict.witness == UtWitness(orbits[i].representative, partition)
+            assert verdict.holds is True and verdict.witness is None
 
     def test_k2_matches_primitivity_on_catalog(self, catalog_small):
         for G in catalog_small:
